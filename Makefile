@@ -19,8 +19,12 @@ lint:
 	$(GO) build -o bin/vetstore ./cmd/vetstore
 	$(GO) vet -vettool=$(abspath bin/vetstore) ./...
 
+# bench/ is a module of its own (it imports this one), so the root
+# ./... does not reach it: test it here too, so a change to wire or
+# store.Options that breaks the benchmark fails tier-1, not the driver.
 test:
 	$(GO) test ./...
+	$(GO) test -C bench ./...
 
 race:
 	$(GO) test -race ./...

@@ -236,7 +236,7 @@ func BenchmarkWireEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.Encode(msg); err != nil {
+		if _, err := wire.EncodeCompact(msg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/transport/memnet"
 	"repro/internal/transport/tcpnet"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
 // network abstracts the two substrates the demo can run on.
@@ -210,5 +209,3 @@ func byzHandler(kind, semantics string, id types.ObjectID, readers int) transpor
 	}
 	return nil
 }
-
-var _ = wire.Msg(nil) // keep the wire import for gob registration side effects

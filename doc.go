@@ -38,7 +38,7 @@
 // RestartObjectAmnesia) wipes the object's volatile registers and bumps
 // its incarnation epoch; the object is fenced out of every quorum (it
 // answers nothing, and its pre-crash replies are rejected by clients as
-// stale via the wire.Epoch incarnation envelope) until a catch-up
+// stale via the wire.RegOp.Inc incarnation stamp) until a catch-up
 // protocol has rebuilt its registers from t+b+1 shard siblings
 // (wire.StateReq/StateResp, timestamp-dominant merge). That quorum
 // always intersects the latest completed write's quorum in an honest
@@ -53,8 +53,8 @@
 // or Byzantine member eats the fault budget t for the lifetime of the
 // deployment. internal/membership lifts that with a reconfiguration
 // epoch: the shard's slot→address member list is versioned
-// (wire.ConfigEpoch on every request and reply, composing with the
-// incarnation epoch), and Store.Replace swaps a faulty member for a
+// (wire.RegOp.Cfg on every request, beside the incarnation stamp
+// replies carry in the same header), and Store.Replace swaps a faulty member for a
 // fresh object at a new transport address while reads and writes
 // continue. The replacement is an amnesia recovery at a new address —
 // served fenced, state-transferred from t+b+1 members of the OLD
@@ -71,7 +71,7 @@
 // Finally, the paper's liveness argument assumes a responsive quorum
 // but says nothing about workloads that outrun the hardware.
 // internal/transport/flow bounds every queue in the stack: base-object
-// request queues answer wire.Busy{request} beyond their budget (total,
+// request queues answer a wire.Busy notice beyond their budget (total,
 // or one sender's per-link share), the batch layer refuses ops past
 // its pending budget with a synthetic Busy (coalesce-or-pushback), the
 // fault layer's delay queues shed at a seeded cap, and client reply
@@ -97,9 +97,10 @@
 // events under the same ID, and Store.TraceOp returns one operation's
 // whole distributed life, client and replica sides interleaved by the
 // shared injected clock. The convention is zero-when-untraced: Op == 0
-// means the envelope belongs to no traced operation — servers count it
-// but record no events, the compact codec spends one uvarint byte on
-// it, and a telemetry-off deployment pays nothing else. An anomaly
+// means the frame belongs to no traced operation — servers count it
+// but record no events, the compact codec spends nothing on it beyond
+// the header's one flags byte, and a telemetry-off deployment pays
+// nothing else. An anomaly
 // flight recorder (obs.FlightRecorder, armed by harness.RunChaos)
 // freezes registry and ring into a self-contained JSON dump on a
 // consistency violation, p99 watermark breach, or an overheld recovery

@@ -4,7 +4,7 @@
 // The deployment runs two shards at t = b = 1 (S = 4 base objects
 // each) with deliberately tiny flow budgets: the batch layer may hold
 // only a handful of coalescing ops, each base object's request queue is
-// a few entries deep (beyond it the object answers a wire.Busy echo of
+// a few entries deep (beyond it the object answers a wire.Busy naming
 // the rejected request), and the fault layer is absent so every effect
 // shown is pure overload. A storm of writers and readers is aimed at
 // keys that all route to shard 0, while shard 1 serves a light workload

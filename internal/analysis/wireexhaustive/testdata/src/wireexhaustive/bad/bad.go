@@ -1,20 +1,18 @@
 // Package bad plants FakeProbe, a wire message missing from every
 // hand-maintained table, plus Quux, whose tag constant never reaches the
-// decode switch, plus Wrap, a trace envelope whose reply path forgets to
+// decode switch, plus Wrap, a frame header whose reply path forgets to
 // echo the Op field. This is the end-to-end guard that wireexhaustive
 // itself still catches an unplumbed message.
 package bad
-
-import "encoding/gob"
 
 type Msg interface{ isMsg() }
 
 type Ping struct{ N int }
 type Pong struct{ S string }
 type Quux struct{ B bool }
-type FakeProbe struct{ X int } // want "has no tagFakeProbe constant" "not gob-registered"
+type FakeProbe struct{ X int } // want "has no tagFakeProbe constant"
 
-// Wrap is a trace envelope: every keyed literal must set Op.
+// Wrap is the frame header: every keyed literal must set Op.
 type Wrap struct {
 	Reg string
 	Op  uint64
@@ -33,12 +31,6 @@ const (
 	tagQuux // want "never used as a switch case"
 	tagWrap
 )
-
-func init() {
-	for _, m := range []interface{}{Ping{}, Pong{}, Quux{}, Wrap{}} {
-		gob.Register(m)
-	}
-}
 
 func Clone(m Msg) Msg {
 	switch v := m.(type) { // want "missing cases for: FakeProbe"
@@ -82,7 +74,7 @@ func Decode(tag byte) Msg {
 	case tagPong:
 		return Pong{}
 	case tagWrap:
-		return Wrap{} // empty literal: gob-style zero value, exempt from op-echo
+		return Wrap{} // empty literal: a zero value, exempt from op-echo
 	}
 	return nil
 }

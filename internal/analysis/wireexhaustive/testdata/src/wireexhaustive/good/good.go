@@ -1,27 +1,31 @@
-// Package good plumbs every message through all four tables — and
-// echoes the trace envelope's Op field in every keyed literal — so the
+// Package good plumbs every message through all three tables — and
+// echoes the frame header's Op field in every keyed literal — so the
 // analyzer must stay silent.
 package good
-
-import "encoding/gob"
 
 type Msg interface{ isMsg() }
 
 type Ping struct{ N int }
 type Pong struct{ S string }
 
-// Wrap is a trace envelope: Op is the distributed trace ID every
-// construction must carry forward (0 = untraced, stated explicitly).
+// Wrap is the frame header: Op is the distributed trace ID every
+// construction must carry forward (0 = untraced, stated explicitly);
+// Inc is a plain-value stamp, which a struct copy already clones. Path
+// is the case a header must not get wrong: a header field that holds a
+// slice (or pointer) shares its backing store across a struct copy, so
+// Clone must deep-copy it like any payload.
 type Wrap struct {
-	Reg string
-	Op  uint64
-	Msg Msg
+	Reg  string
+	Op   uint64
+	Inc  uint32
+	Path []byte
+	Msg  Msg
 }
 
 // Fetch mirrors the round-2 READ frame with its optional repair hint:
 // a message carrying a pointer payload is still one message, and the
-// pointer field changes nothing about the four-table contract — Clone
-// deep-copies the hint, the codec gets one tag, gob one registration.
+// pointer field changes nothing about the three-table contract — Clone
+// deep-copies the hint, the codec gets one tag.
 type Fetch struct {
 	Round byte
 	Hint  *Pong
@@ -39,12 +43,6 @@ const (
 	tagFetch
 )
 
-func init() {
-	for _, m := range []interface{}{Ping{}, Pong{}, Wrap{}, Fetch{}} {
-		gob.Register(m)
-	}
-}
-
 func Clone(m Msg) Msg {
 	switch v := m.(type) {
 	case Ping:
@@ -52,7 +50,9 @@ func Clone(m Msg) Msg {
 	case Pong:
 		return Pong{S: v.S}
 	case Wrap:
-		return Wrap{Reg: v.Reg, Op: v.Op, Msg: Clone(v.Msg)}
+		v.Path = append([]byte(nil), v.Path...)
+		v.Msg = Clone(v.Msg)
+		return v
 	case Fetch:
 		f := Fetch{Round: v.Round}
 		if v.Hint != nil {

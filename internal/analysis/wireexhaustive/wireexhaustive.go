@@ -1,8 +1,8 @@
-// Package wireexhaustive enforces the four hand-maintained tables that a
+// Package wireexhaustive enforces the three hand-maintained tables that a
 // wire message type must appear in: the Clone type switch, the compact
-// encoder's type switch, the compact decoder's tag switch, and gob
-// registration. Adding a concrete Msg without full plumbing fails `make
-// lint` instead of panicking during a soak.
+// encoder's type switch, and the compact decoder's tag switch. Adding a
+// concrete Msg without full plumbing fails `make lint` instead of
+// panicking during a soak.
 //
 // The analyzer is structural rather than name-bound so its golden testdata
 // exercises the same logic as the real package:
@@ -15,8 +15,6 @@
 //   - if the package declares tag constants (`tag<Type>`), every message
 //     needs one, and every message's tag must appear as a switch case
 //     (the compact decode table);
-//   - if the package calls gob.Register anywhere, every message must be
-//     registered (composite literals in the registering function count);
 //   - a message with an `Op uint64` field is a trace envelope: every keyed
 //     composite literal of it in non-test code must set Op explicitly, so
 //     a reply path cannot silently drop the distributed trace ID.
@@ -34,7 +32,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wireexhaustive",
-	Doc:  "check that every concrete wire.Msg is covered by Clone, the compact encode/decode tables, and gob registration",
+	Doc:  "check that every concrete wire.Msg is covered by Clone and the compact encode/decode tables",
 	Scoped: func(importPath string) bool {
 		return strings.Contains(importPath, "internal/wire")
 	},
@@ -49,7 +47,6 @@ func run(pass *analysis.Pass) error {
 		}
 		checkTypeSwitches(pass, iface, msgs)
 		checkTagTable(pass, msgs)
-		checkGobRegistration(pass, msgs)
 		checkOpEcho(pass, msgs)
 	}
 	return nil
@@ -61,8 +58,8 @@ func run(pass *analysis.Pass) error {
 // rebuilds the envelope around its reply and forgets the key silently
 // drops the distributed trace ID — nothing breaks, the op just loses
 // its server-side life, so no functional test catches it. Empty
-// literals (gob registration zero values) and positional literals (all
-// fields present by construction) are exempt, as are _test.go files,
+// literals (zero values) and positional literals (all fields present
+// by construction) are exempt, as are _test.go files,
 // which construct deliberately untraced envelopes; production code
 // writes `Op: 0` to mark an envelope untraced on purpose.
 func checkOpEcho(pass *analysis.Pass, msgs []*types.TypeName) {
@@ -286,78 +283,4 @@ func checkTagTable(pass *analysis.Pass, msgs []*types.TypeName) {
 			pass.Reportf(c.Pos(), "tag constant %s is never used as a switch case: %s is missing from the compact decode table", tagName, m.Name())
 		}
 	}
-}
-
-// checkGobRegistration requires every message type to be gob-registered if
-// the package registers any. Registration is recognized as a composite
-// literal of the type occurring inside a function body that calls
-// gob.Register (the wire package ranges over a slice literal of zero
-// values).
-func checkGobRegistration(pass *analysis.Pass, msgs []*types.TypeName) {
-	registered := map[string]bool{}
-	sawRegister := false
-	for _, f := range pass.Files {
-		var stack []ast.Node // enclosing FuncDecl/FuncLit chain
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl, *ast.FuncLit:
-				stack = append(stack, n)
-				ast.Inspect(bodyOf(n), visit)
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.CallExpr:
-				if isGobRegister(pass, n) && len(stack) > 0 {
-					sawRegister = true
-					// Every composite literal in the registering function
-					// counts as registered.
-					ast.Inspect(bodyOf(stack[len(stack)-1]), func(m ast.Node) bool {
-						if cl, ok := m.(*ast.CompositeLit); ok {
-							if tv, ok := pass.TypesInfo.Types[cl]; ok {
-								if named, ok := tv.Type.(*types.Named); ok {
-									registered[named.Obj().Name()] = true
-								}
-							}
-						}
-						return true
-					})
-				}
-			}
-			return true
-		}
-		ast.Inspect(f, visit)
-	}
-	if !sawRegister {
-		return // package does not use gob
-	}
-	for _, m := range msgs {
-		if !registered[m.Name()] {
-			pass.Reportf(m.Pos(), "wire message %s is not gob-registered", m.Name())
-		}
-	}
-}
-
-func bodyOf(n ast.Node) ast.Node {
-	switch n := n.(type) {
-	case *ast.FuncDecl:
-		if n.Body != nil {
-			return n.Body
-		}
-	case *ast.FuncLit:
-		return n.Body
-	}
-	return n
-}
-
-func isGobRegister(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return obj.Pkg().Path() == "encoding/gob" &&
-		(obj.Name() == "Register" || obj.Name() == "RegisterName")
 }

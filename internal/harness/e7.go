@@ -22,7 +22,8 @@ type E7Row struct {
 // RunE7 measures messages and bytes per operation (requests plus
 // acknowledgements) for every protocol across a fault-budget sweep.
 // GV06 operations exchange ≤ 2 messages per object per round, so ≤ 4S
-// messages per operation.
+// messages per operation. Bytes are compact-codec bytes
+// (wire.CompactSize), what tcpnet would put on a socket.
 func RunE7(grid []struct{ T, B int }, opsPer int) ([]E7Row, *stats.Table) {
 	if len(grid) == 0 {
 		grid = []struct{ T, B int }{{1, 1}, {2, 2}, {3, 3}, {4, 4}}

@@ -21,7 +21,8 @@ type E8Row struct {
 // history entries retained per object as the write count grows, for
 // (a) the unoptimized regular protocol (full histories), (b) the
 // cached-suffix optimization, and (c) the optimization plus garbage
-// collection. The paper flags the full-history assumption as a storage
+// collection. Bytes are compact-codec bytes (wire.CompactSize). The
+// paper flags the full-history assumption as a storage
 // exhaustion risk (§1); this is the measurement.
 func RunE8(t, b int, writeCounts []int) ([]E8Row, *stats.Table) {
 	if len(writeCounts) == 0 {

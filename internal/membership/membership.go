@@ -9,7 +9,7 @@
 // Aspnes's distributed-systems notes; epoch-based reconfiguration
 // layers that keep consensus off the data path) is a CONFIGURATION
 // EPOCH: a monotonically increasing version of the shard's member list,
-// carried on every request and reply (wire.ConfigEpoch), with a signed
+// carried in the header of every request (wire.RegOp.Cfg), with a signed
 // redirect frame (wire.ConfigUpdate) that teaches lagging clients the
 // new list in one round-trip.
 //
@@ -29,7 +29,7 @@
 //   - Gate: the object-side enforcement, wrapping a base object's
 //     handler. Requests stamped with a stale epoch are answered with
 //     the signed redirect instead of being served; current requests are
-//     unwrapped, served, and the reply re-stamped. Unstamped traffic
+//     served as they are. Unstamped traffic
 //     (the recovery subsystem's StateReq/StateResp catch-up protocol)
 //     passes through untouched, which keeps state transfer working
 //     across configurations.
@@ -45,9 +45,9 @@
 // merge dominates every completed write, and a write that completed in
 // epoch e occupies a quorum of epoch e+1 too. Replies from the evicted
 // address are excluded from quorums by the client's member-list check,
-// and replies from surviving members remain countable regardless of
-// their stamped epoch — their register state is continuous across the
-// flip.
+// and replies from surviving members remain countable whichever epoch
+// they were minted in — their register state is continuous across the
+// flip — which is why replies carry no configuration stamp at all.
 package membership
 
 import (
@@ -263,9 +263,9 @@ func (s Stats) String() string {
 
 // Gate wraps a base object's handler with configuration-epoch
 // enforcement: a request stamped with a stale epoch is answered with
-// the signed redirect of the current view instead of being served, a
-// current request is unwrapped, served, and its reply re-stamped, and
-// unstamped traffic (recovery catch-up) passes through untouched. It
+// the signed redirect of the current view instead of being served;
+// current requests and unstamped traffic (recovery catch-up) pass
+// through untouched. It
 // forwards transport.Amnesiac so amnesia restarts reach the guarded
 // handler through the membership layer.
 type Gate struct {
@@ -347,13 +347,8 @@ func (g *Gate) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 	if retired {
 		return nil, false
 	}
-	ce, ok := req.(wire.ConfigEpoch)
-	if !ok {
-		// Unstamped traffic: recovery catch-up, or a deployment that
-		// never enabled membership on this client. Serve it bare.
-		return g.inner.Handle(from, req)
-	}
-	if ce.Epoch < epoch {
+	op, _ := req.(wire.RegOp)
+	if stamped, ok := op.Cfg.Get(); ok && stamped < epoch {
 		g.counters.Redirects.Add(1)
 		if redirect.Sig == nil {
 			// No signed view installed yet (cannot happen for a served
@@ -363,7 +358,10 @@ func (g *Gate) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		}
 		return redirect.Clone(), true
 	}
-	reply, send := g.inner.Handle(from, ce.Msg)
+	// Current requests — and unstamped traffic: recovery catch-up, or a
+	// deployment that never enabled membership on this client — are
+	// served as they are.
+	reply, send := g.inner.Handle(from, req)
 	if !send {
 		return nil, false
 	}
@@ -376,7 +374,7 @@ func (g *Gate) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 	if retired {
 		return nil, false
 	}
-	return wire.ConfigEpoch{Epoch: epoch, Msg: reply}, true
+	return reply, true
 }
 
 // Forget forwards an amnesia wipe to the wrapped handler when it

@@ -81,19 +81,16 @@ func TestGateServesCurrentAndRedirectsStale(t *testing.T) {
 	counters := &Counters{}
 	g := NewGate(inner, counters, 0)
 	from := transport.Writer()
-	op := wire.ConfigEpoch{Epoch: 0, Msg: wire.RegOp{Reg: "r", Msg: wire.WReq{TS: 1}}}
+	op := wire.RegOp{Reg: "r", Cfg: wire.StampOf(0), Msg: wire.WReq{TS: 1}}
 
-	// Current epoch: served and re-stamped.
+	// Current epoch: served, and the reply carries no configuration
+	// stamp (clients admit replies by member list, not by epoch).
 	reply, ok := g.Handle(from, op)
 	if !ok {
 		t.Fatal("current-epoch request not served")
 	}
-	ce, isCfg := reply.(wire.ConfigEpoch)
-	if !isCfg || ce.Epoch != 0 {
-		t.Fatalf("reply not config-stamped: %#v", reply)
-	}
-	if _, isOp := ce.Msg.(wire.RegOp); !isOp {
-		t.Fatalf("reply payload %#v", ce.Msg)
+	if ro, isOp := reply.(wire.RegOp); !isOp || ro.Cfg != 0 {
+		t.Fatalf("reply %#v, want an unstamped RegOp", reply)
 	}
 
 	// Advance: the same request is now stale and answered with the
@@ -118,9 +115,21 @@ func TestGateServesCurrentAndRedirectsStale(t *testing.T) {
 
 	// Future-epoch requests (a client that learned the flip before this
 	// gate's Advance raced in) are served, not redirected.
-	fresh := wire.ConfigEpoch{Epoch: 2, Msg: wire.RegOp{Reg: "r", Msg: wire.WReq{TS: 2}}}
+	fresh := wire.RegOp{Reg: "r", Cfg: wire.StampOf(2), Msg: wire.WReq{TS: 2}}
 	if _, ok := g.Handle(from, fresh); !ok {
 		t.Fatal("future-epoch request rejected")
+	}
+
+	// An unstamped op (a client that never enabled membership) is not a
+	// stale one: it is served, not redirected — the zero Stamp is not
+	// epoch 0.
+	if reply, ok := g.Handle(from, wire.RegOp{Reg: "r", Msg: wire.WReq{TS: 3}}); !ok {
+		t.Fatal("unstamped op rejected")
+	} else if _, isOp := reply.(wire.RegOp); !isOp {
+		t.Fatalf("unstamped op answered with %#v, want it served", reply)
+	}
+	if counters.Redirects.Load() != 1 {
+		t.Fatalf("redirects counted: %d, want still 1", counters.Redirects.Load())
 	}
 }
 
@@ -131,8 +140,8 @@ func TestGatePassesBareTrafficThrough(t *testing.T) {
 	if !ok {
 		t.Fatal("bare recovery traffic rejected")
 	}
-	if _, stamped := reply.(wire.ConfigEpoch); stamped {
-		t.Fatalf("bare traffic's reply was config-stamped: %#v", reply)
+	if resp, isState := reply.(wire.StateResp); !isState || resp.Seq != 42 {
+		t.Fatalf("bare traffic's reply was altered: %#v", reply)
 	}
 	if inner.bare != 1 {
 		t.Fatalf("inner handler saw %d bare messages, want 1", inner.bare)
@@ -158,7 +167,7 @@ func TestGateRegressionIgnored(t *testing.T) {
 func TestGateRetireSilencesEverything(t *testing.T) {
 	inner := &echoHandler{}
 	g := NewGate(inner, &Counters{}, 0)
-	op := wire.ConfigEpoch{Epoch: 0, Msg: wire.RegOp{Reg: "r", Msg: wire.WReq{TS: 1}}}
+	op := wire.RegOp{Reg: "r", Cfg: wire.StampOf(0), Msg: wire.WReq{TS: 1}}
 
 	g.Retire()
 	if _, ok := g.Handle(transport.Writer(), op); ok {

@@ -154,7 +154,7 @@ func (s *Regular) HistoryBytes() int {
 	s.mu.Lock()
 	h := s.history.Clone()
 	s.mu.Unlock()
-	return wire.EncodedSize(wire.ReadAckHist{ObjectID: s.id, History: h})
+	return wire.CompactSize(wire.ReadAckHist{ObjectID: s.id, History: h})
 }
 
 // RegularSnapshot is a copy of a regular object's full state.

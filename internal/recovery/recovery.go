@@ -214,8 +214,8 @@ func (g *Guard) Wake() <-chan struct{} { return g.wake }
 //   - StateReq: donate a snapshot of every register, tagged with the
 //     current incarnation;
 //   - anything else: delegate to the inner handler and stamp the reply
-//     with the current incarnation (wire.Epoch), so replies minted in a
-//     previous life are recognizably stale.
+//     header with the current incarnation (wire.RegOp.Inc), so replies
+//     minted in a previous life are recognizably stale.
 func (g *Guard) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 	g.mu.Lock()
 	if g.fenced {
@@ -228,11 +228,13 @@ func (g *Guard) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 	if m, ok := req.(wire.StateReq); ok {
 		reply = wire.StateResp{ObjectID: g.id, Seq: m.Seq, Incarnation: inc, Regs: g.store.SnapshotRegs()}
 	} else {
-		inner, ok := g.inner.Handle(from, req)
-		if !ok {
+		if reply, ok = g.inner.Handle(from, req); !ok {
 			return nil, false
 		}
-		reply = wire.Epoch{Inc: inc, Msg: inner}
+		if op, isOp := reply.(wire.RegOp); isOp {
+			op.Inc = wire.StampOf(inc)
+			reply = op
+		}
 	}
 	// A Forget can race the computation above: the reply would then be
 	// derived from (partially) wiped state yet stamped with the
@@ -256,7 +258,7 @@ func (g *Guard) Handle(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 // Handle's post-computation incarnation re-check, and a reply already
 // on the wire carries its pre-crash incarnation and reflects genuine
 // pre-crash state (clients reject it only once the recovered object
-// has served at the new incarnation — the wire.Epoch fencing).
+// has served at the new incarnation — the wire.RegOp.Inc fencing).
 func (g *Guard) Forget() {
 	g.mu.Lock()
 	g.inc++

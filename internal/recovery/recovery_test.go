@@ -111,9 +111,8 @@ func TestGuardFencesUntilInstall(t *testing.T) {
 	if !ok {
 		t.Fatal("healthy guard must answer reads")
 	}
-	ep, isEp := reply.(wire.Epoch)
-	if !isEp || ep.Inc != 0 {
-		t.Fatalf("healthy reply not epoch-0-stamped: %+v", reply)
+	if inc, stamped := reply.(wire.RegOp).Inc.Get(); !stamped || inc != 0 {
+		t.Fatalf("healthy reply not stamped with incarnation 0: %+v", reply)
 	}
 
 	g.Forget()
@@ -140,8 +139,8 @@ func TestGuardFencesUntilInstall(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered guard must answer reads")
 	}
-	if ep := reply.(wire.Epoch); ep.Inc != 1 {
-		t.Fatalf("recovered reply carries incarnation %d, want 1", ep.Inc)
+	if inc, _ := reply.(wire.RegOp).Inc.Get(); inc != 1 {
+		t.Fatalf("recovered reply carries incarnation %d, want 1", inc)
 	}
 }
 
@@ -295,8 +294,8 @@ func TestManagerCatchUpOverMemnet(t *testing.T) {
 	if !ok {
 		t.Fatal("recovered object does not serve")
 	}
-	if ep := reply.(wire.Epoch); ep.Inc != 1 {
-		t.Fatalf("recovered reply at incarnation %d, want 1", ep.Inc)
+	if inc, _ := reply.(wire.RegOp).Inc.Get(); inc != 1 {
+		t.Fatalf("recovered reply at incarnation %d, want 1", inc)
 	}
 }
 

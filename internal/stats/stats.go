@@ -31,11 +31,11 @@ type Counter struct {
 	mu      sync.Mutex
 	byScope *obs.Scope // per-type counters are created here on demand
 	byType  map[string]*obs.Counter
-	weigher func(wire.Msg) int
 }
 
-// NewCounter returns a counter that weighs messages by their gob-encoded
-// size, backed by a private registry scope.
+// NewCounter returns a counter that weighs messages by their encoded
+// size (wire.CompactSize — the bytes tcpnet puts on a socket), backed by
+// a private registry scope.
 func NewCounter() *Counter {
 	return NewCounterAt(obs.NewRegistry().Root().Scope("tap"))
 }
@@ -53,7 +53,6 @@ func NewCounterAt(scope *obs.Scope) *Counter {
 		bytes:   scope.Counter("bytes"),
 		byScope: scope.Scope("by_type"),
 		byType:  make(map[string]*obs.Counter),
-		weigher: wire.EncodedSize,
 	}
 }
 
@@ -61,7 +60,7 @@ var _ transport.Tap = (*Counter)(nil)
 
 // OnMessage implements transport.Tap.
 func (c *Counter) OnMessage(_, _ transport.NodeID, payload wire.Msg) {
-	size := c.weigher(payload)
+	size := wire.CompactSize(payload)
 	c.msgs.Inc()
 	c.bytes.Add(int64(size))
 	name := fmt.Sprintf("%T", payload)

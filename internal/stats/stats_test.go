@@ -120,7 +120,7 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestCounterWeighsByEncodedSize(t *testing.T) {
+func TestCounterWeighsByCompactSize(t *testing.T) {
 	c := NewCounter()
 	small := wire.BaselineReadReq{}
 	h := types.NewHistory()

@@ -7,9 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
+	"repro/internal/transport"
 	"repro/internal/transport/batch"
 	"repro/internal/transport/flow"
+	"repro/internal/transport/memnet"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // TestFlowControlledStoreCompletesUnderTinyBudgets: with every budget
@@ -105,5 +109,70 @@ func TestFlowStatsZeroWithoutPolicy(t *testing.T) {
 	defer s.Close()
 	if fs := s.FlowStats(); fs != (flow.Stats{}) {
 		t.Fatalf("FlowStats = %+v without a policy", fs)
+	}
+}
+
+// TestMuxBusyNoticePerOp: a Busy notice bouncing a Batch of n ops costs
+// the client mux n pushbacks and n busy trace events — each attributed
+// to the register and trace ID the notice names — and marks the sender
+// busy, so the next round sheds it.
+func TestMuxBusyNoticePerOp(t *testing.T) {
+	net := memnet.New()
+	defer net.Close()
+	client, err := net.Register(transport.Writer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := net.Register(transport.Object(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrs := &flow.Counters{}
+	tr := obs.NewTracer(64, nil)
+	m := newMux(client)
+	defer m.close()
+	m.enableFlow(flow.Options{HedgeDelay: time.Hour}, ctrs, 3, 1)
+	m.enableTrace(tr, 7)
+
+	bounced := wire.Batch{Ops: []wire.Msg{
+		wire.RegOp{Reg: "a", Op: 11, Msg: wire.WReq{TS: 1, PW: types.TSVal{TS: 1, Val: make(types.Value, 1<<10)}}},
+		wire.RegOp{Reg: "b", Op: 12, Msg: wire.WReq{TS: 1}},
+		wire.RegOp{Reg: "c", Op: 0, Msg: wire.ReadReq{Round: wire.Round1}},
+	}}
+	obj.Send(transport.Writer(), wire.BusyFor(bounced))
+
+	deadline := time.Now().Add(5 * time.Second)
+	for ctrs.Snapshot().Pushbacks < int64(len(bounced.Ops)) || len(tr.Events()) < len(bounced.Ops) {
+		if time.Now().After(deadline) {
+			t.Fatalf("Pushbacks = %d, events = %d, want %d each", ctrs.Snapshot().Pushbacks, len(tr.Events()), len(bounced.Ops))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := ctrs.Snapshot().Pushbacks; got != int64(len(bounced.Ops)) {
+		t.Fatalf("Pushbacks = %d, want one per bounced op (%d)", got, len(bounced.Ops))
+	}
+	var got []wire.OpRef
+	for _, ev := range tr.Events() {
+		if ev.Kind != obs.EvBusy {
+			t.Fatalf("unexpected trace event %+v", ev)
+		}
+		if ev.Shard != 7 || ev.Member != 1 {
+			t.Fatalf("busy event attributed to shard %d member %d, want 7/1", ev.Shard, ev.Member)
+		}
+		got = append(got, wire.OpRef{Reg: ev.Key, Op: ev.Op})
+	}
+	want := []wire.OpRef{{Reg: "a", Op: 11}, {Reg: "b", Op: 12}, {Reg: "c"}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("busy events name %+v, want %+v", got, want)
+	}
+
+	// The bounced member is inside its busy cooldown: a fresh round
+	// sheds it (budget 1) and reaches the others.
+	rc := m.register("a")
+	for slot := 0; slot < 3; slot++ {
+		rc.Send(transport.Object(types.ObjectID(slot)), wire.WReq{TS: 2})
+	}
+	if shed := ctrs.Snapshot().Sheds; shed != 1 {
+		t.Fatalf("Sheds = %d, want the busy member shed once", shed)
 	}
 }

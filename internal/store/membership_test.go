@@ -328,7 +328,7 @@ func TestMuxDropsRepliesFromEvictedAddresses(t *testing.T) {
 	rc := m.register("q")
 
 	reply := func(from transport.Conn, ts types.TS) {
-		from.Send(transport.Reader(0), wire.ConfigEpoch{Epoch: 1, Msg: wire.RegOp{Reg: "q", Msg: wire.WAck{ObjectID: 0, TS: ts}}})
+		from.Send(transport.Reader(0), wire.RegOp{Reg: "q", Msg: wire.WAck{ObjectID: 0, TS: ts}})
 	}
 	reply(evicted, 99) // from the evicted address: must be dropped
 	reply(current, 7)  // from the current member: must be delivered as slot 0

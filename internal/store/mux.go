@@ -48,7 +48,7 @@ type mux struct {
 
 	// inc tracks the highest incarnation seen per sender (only the
 	// dispatch goroutine touches it). Recovery-enabled objects stamp
-	// every reply with their incarnation (wire.Epoch); a reply from an
+	// every reply with their incarnation (wire.RegOp.Inc); a reply from an
 	// earlier incarnation was minted before the sender's amnesia crash,
 	// reflects state the sender no longer holds, and must not count
 	// toward a quorum. Keys are physical endpoints: a replacement member
@@ -224,28 +224,18 @@ func (m *mux) dispatch() {
 				m.adopt(ms, cu)
 				continue
 			}
-			if ce, isCfg := payload.(wire.ConfigEpoch); isCfg {
-				// The stamped epoch is informational: whether the reply
-				// may count is decided by the member-list check below.
-				// A surviving member's register state is continuous
-				// across a flip, so its pre-flip replies stay valid.
-				payload = ce.Msg
-			}
-		}
-		if ep, isEpoch := payload.(wire.Epoch); isEpoch {
-			if ep.Inc < m.inc[from] {
-				// Stale incarnation: a zombie reply from a pre-amnesia life.
-				if ro, isOp := ep.Msg.(wire.RegOp); isOp {
-					m.traceReject(obs.EvStaleEpoch, ro.Reg, from, fmt.Sprintf("inc=%d", ep.Inc))
-				}
-				continue
-			}
-			m.inc[from] = ep.Inc
-			payload = ep.Msg
 		}
 		op, ok := payload.(wire.RegOp)
 		if !ok {
 			continue
+		}
+		if inc, stamped := op.Inc.Get(); stamped {
+			if inc < m.inc[from] {
+				// Stale incarnation: a zombie reply from a pre-amnesia life.
+				m.traceReject(obs.EvStaleEpoch, op, from, fmt.Sprintf("inc=%d", inc))
+				continue
+			}
+			m.inc[from] = inc
 		}
 		// One lock hold covers the member-list admission check (replies
 		// only count from addresses in the current view, translated back
@@ -279,7 +269,7 @@ func (m *mux) dispatch() {
 		m.mu.Unlock()
 		if stale {
 			ms.counters.StaleReplies.Add(1)
-			m.traceReject(obs.EvStaleReply, op.Reg, from, "evicted address")
+			m.traceReject(obs.EvStaleReply, op, from, "evicted address")
 			continue
 		}
 		if rc != nil {
@@ -290,24 +280,17 @@ func (m *mux) dispatch() {
 
 // traceReject records a discarded-reply event (a stale incarnation, or
 // a reply from an address evicted by reconfiguration), attributed to
-// the addressed register's in-flight op if one is bound. No-op without
-// tracing.
-func (m *mux) traceReject(kind obs.EventKind, regName string, from transport.NodeID, detail string) {
+// the op whose trace ID the reply echoes. No-op without tracing.
+func (m *mux) traceReject(kind obs.EventKind, reply wire.RegOp, from transport.NodeID, detail string) {
 	mt := m.trace.Load()
 	if mt == nil {
 		return
 	}
-	var op uint64
-	m.mu.Lock()
-	if rc := m.regs[regName]; rc != nil {
-		op = rc.curOp
-	}
-	m.mu.Unlock()
 	member := -1
 	if from.Kind == transport.KindObject {
 		member = from.Index
 	}
-	mt.tr.Record(obs.Event{Op: op, Kind: kind, Key: regName, Shard: mt.shard, Member: member, Detail: detail})
+	mt.tr.Record(obs.Event{Op: reply.Op, Kind: kind, Key: reply.Reg, Shard: mt.shard, Member: member, Detail: detail})
 }
 
 // adopt installs the view a redirect carries — if its signature
@@ -340,9 +323,9 @@ func (m *mux) adopt(ms *muxMembership, cu wire.ConfigUpdate) {
 		return // already there (every surviving member redirects; one wins)
 	}
 	ms.view = view
-	replays := make([]wire.Msg, 0, len(m.regs))
+	replays := make([]wire.RegOp, 0, len(m.regs))
 	for _, rc := range m.regs {
-		if rc.lastOut != nil {
+		if rc.lastOut.Msg != nil {
 			replays = append(replays, rc.lastOut)
 		}
 	}
@@ -358,8 +341,9 @@ func (m *mux) adopt(ms *muxMembership, cu wire.ConfigUpdate) {
 			Detail: fmt.Sprintf("epoch=%d replays=%d", epoch, len(replays))})
 	}
 	for _, op := range replays {
+		op.Cfg = wire.StampOf(epoch)
 		for _, to := range addrs {
-			m.conn.Send(to, wire.ConfigEpoch{Epoch: epoch, Msg: op})
+			m.conn.Send(to, op)
 		}
 		ms.counters.Replays.Add(1)
 	}
@@ -367,11 +351,12 @@ func (m *mux) adopt(ms *muxMembership, cu wire.ConfigUpdate) {
 
 // handleBusy processes one overload pushback: the sender (translated to
 // its logical slot under membership) is marked busy for a hedge-delay
-// cooldown, and one pushback is counted per protocol op the echo
-// carries (a bounced Batch frame rejects every op inside). The bounced
-// ops themselves need no bookkeeping: each op's register armed its
-// hedge timer when the round was sent, and the member's missing reply
-// keeps it on the straggler list the hedge re-drives.
+// cooldown, and one pushback is counted — and, with tracing, one busy
+// event recorded — per protocol op the notice names (a bounced Batch
+// frame rejects every op inside). The bounced ops themselves need no
+// bookkeeping: each op's register armed its hedge timer when the round
+// was sent, and the member's missing reply keeps it on the straggler
+// list the hedge re-drives.
 func (m *mux) handleBusy(ms *muxMembership, fl *muxFlow, from transport.NodeID, bz wire.Busy) {
 	if from.Kind != transport.KindObject {
 		return
@@ -393,48 +378,12 @@ func (m *mux) handleBusy(ms *muxMembership, fl *muxFlow, from transport.NodeID, 
 	}
 	fl.busyUntil[slot] = time.Now().Add(fl.opts.HedgeDelay)
 	m.mu.Unlock()
-	regs := opRegs(bz.Msg, nil)
 	mt := m.trace.Load()
-	if mt == nil {
-		for range regs {
-			fl.ctrs.AddPushback()
-		}
-		return
-	}
-	// One lock hold resolves every bounced register's in-flight op ID.
-	ops := make([]uint64, len(regs))
-	m.mu.Lock()
-	for i, name := range regs {
-		if rc := m.regs[name]; rc != nil {
-			ops[i] = rc.curOp
-		}
-	}
-	m.mu.Unlock()
-	for i, name := range regs {
+	for _, ref := range bz.Ops {
 		fl.ctrs.AddPushback()
-		mt.tr.Record(obs.Event{Op: ops[i], Kind: obs.EvBusy, Key: name, Shard: mt.shard, Member: slot})
-	}
-}
-
-// opRegs collects the register name of every protocol op a bounced
-// request echo carries — one entry per op, "" for an op without a
-// register envelope — unwrapping the envelopes a request can travel in
-// (a bounced Batch frame rejects every op inside).
-func opRegs(msg wire.Msg, acc []string) []string {
-	switch v := msg.(type) {
-	case wire.Batch:
-		for _, op := range v.Ops {
-			acc = opRegs(op, acc)
+		if mt != nil {
+			mt.tr.Record(obs.Event{Op: ref.Op, Kind: obs.EvBusy, Key: ref.Reg, Shard: mt.shard, Member: slot})
 		}
-		return acc
-	case wire.ConfigEpoch:
-		return opRegs(v.Msg, acc)
-	case wire.Epoch:
-		return opRegs(v.Msg, acc)
-	case wire.RegOp:
-		return append(acc, v.Reg)
-	default:
-		return append(acc, "")
 	}
 }
 
@@ -452,12 +401,13 @@ type regConn struct {
 	reg   string
 	inbox *transport.Inbox
 
-	// lastOut is the register's latest outgoing op (guarded by mux.mu),
-	// kept for replay after a configuration adoption and for hedging.
-	// One message suffices: the protocols are lockstep per register —
-	// each round broadcasts one identical message to every slot before
-	// the client waits on replies.
-	lastOut wire.Msg
+	// lastOut is the register's latest outgoing op (guarded by mux.mu;
+	// no Msg before the first send), kept for replay after a
+	// configuration adoption and for hedging. One message suffices: the
+	// protocols are lockstep per register — each round broadcasts one
+	// identical message to every slot before the client waits on
+	// replies.
+	lastOut wire.RegOp
 
 	// curOp is the trace operation ID of the register's in-flight op
 	// (guarded by mux.mu; 0 without telemetry or before any bind).
@@ -480,10 +430,10 @@ var _ transport.Conn = (*regConn)(nil)
 // ID returns the physical endpoint's node identity.
 func (c *regConn) ID() transport.NodeID { return c.mux.conn.ID() }
 
-// Send wraps payload in the register envelope and ships it over the
+// Send puts payload behind the register header and ships it over the
 // shared endpoint. With membership enabled, the logical destination
 // slot is translated to the current view's physical address and the
-// frame is stamped with the configuration epoch. With flow control
+// header is stamped with the configuration epoch. With flow control
 // enabled, a send that begins a new round resets the round state and
 // arms the hedge timer, and up to t busy members per round are shed —
 // skipped now, re-driven by the hedge — because the protocol above
@@ -520,29 +470,23 @@ func (c *regConn) Send(to transport.NodeID, payload wire.Msg) {
 	// Stamp before recording lastOut, so hedge volleys and adoption
 	// replays of this op keep its trace ID on the wire.
 	op.Op = c.curOp
-	c.lastOut = op
-	opid := c.curOp
-	var epoch int64
 	addr := to
 	if ms != nil {
-		epoch = ms.view.Epoch
+		op.Cfg = wire.StampOf(ms.view.Epoch)
 		if to.Kind == transport.KindObject && to.Index >= 0 && to.Index < len(ms.view.Members) {
 			addr = ms.view.Addr(to.Index)
 		}
 	}
+	c.lastOut = op
 	m.mu.Unlock()
 	if shed {
 		fl.ctrs.AddShed()
 		if mt := m.trace.Load(); mt != nil {
-			mt.tr.Record(obs.Event{Op: opid, Kind: obs.EvShed, Key: c.reg, Shard: mt.shard, Member: to.Index})
+			mt.tr.Record(obs.Event{Op: op.Op, Kind: obs.EvShed, Key: c.reg, Shard: mt.shard, Member: to.Index})
 		}
 		return // the busy member stays a straggler; the hedge reaches it
 	}
-	if ms == nil {
-		m.conn.Send(addr, op)
-		return
-	}
-	m.conn.Send(addr, wire.ConfigEpoch{Epoch: epoch, Msg: op})
+	m.conn.Send(addr, op)
 }
 
 // beginRoundLocked resets the per-round flow state and arms the hedge
@@ -594,7 +538,7 @@ func (m *mux) hedge(c *regConn) {
 	}
 	ms := m.members.Load()
 	m.mu.Lock()
-	if m.closed || c.closed || c.lastOut == nil || c.replied == nil {
+	if m.closed || c.closed || c.lastOut.Msg == nil || c.replied == nil {
 		m.mu.Unlock()
 		return
 	}
@@ -658,9 +602,8 @@ func (m *mux) hedge(c *regConn) {
 	}
 	out := c.lastOut
 	opid := c.curOp
-	var epoch int64
 	if ms != nil {
-		epoch = ms.view.Epoch
+		out.Cfg = wire.StampOf(ms.view.Epoch) // the view may have moved since the send
 	}
 	c.hedges++
 	volley := c.hedges
@@ -676,11 +619,7 @@ func (m *mux) hedge(c *regConn) {
 	}
 	for _, addr := range targets {
 		fl.ctrs.AddHedge()
-		if ms != nil {
-			m.conn.Send(addr, wire.ConfigEpoch{Epoch: epoch, Msg: out})
-		} else {
-			m.conn.Send(addr, out)
-		}
+		m.conn.Send(addr, out)
 	}
 }
 
@@ -715,11 +654,11 @@ func (c *regConn) closeLocked() {
 }
 
 // registry is the multi-register base object: one independent register
-// automaton per key, created on first touch by the factory. It unwraps
-// the RegOp envelope, applies the inner message to the key's automaton
-// (the transport serializes Handle calls, preserving the atomic
-// read-modify-write object semantics per register), and re-wraps the
-// reply. A Byzantine factory yields a Byzantine automaton for every
+// automaton per key, created on first touch by the factory. It applies
+// the message behind the RegOp header to the key's automaton (the
+// transport serializes Handle calls, preserving the atomic
+// read-modify-write object semantics per register) and puts the reply
+// behind a header echoing the register and trace ID. A Byzantine factory yields a Byzantine automaton for every
 // register of that object — the adversary model per register is exactly
 // the paper's.
 type registry struct {

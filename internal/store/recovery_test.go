@@ -221,7 +221,7 @@ func TestRecoveryRejectsUnsatisfiableQuorum(t *testing.T) {
 }
 
 // TestMuxRejectsStaleIncarnation: the client-side mux drops an
-// Epoch-wrapped reply whose incarnation is below the highest seen from
+// incarnation-stamped reply whose incarnation is below the highest seen from
 // that object — the zombie-reply fencing of the incarnation scheme.
 // An echo object stamps each reply with the incarnation the request
 // names, simulating replies from different lives of the same object.
@@ -235,7 +235,7 @@ func TestMuxRejectsStaleIncarnation(t *testing.T) {
 			return nil, false
 		}
 		n := op.Msg.(wire.BaselineReadReq).Attempt
-		return wire.Epoch{Inc: int64(n), Msg: wire.RegOp{Reg: op.Reg, Msg: wire.BaselineReadAck{Attempt: n}}}, true
+		return wire.RegOp{Reg: op.Reg, Inc: wire.StampOf(int64(n)), Msg: wire.BaselineReadAck{Attempt: n}}, true
 	}))
 	if err != nil {
 		t.Fatal(err)

@@ -97,7 +97,7 @@ type Options struct {
 	// PendingBudget caps the TOTAL ops coalescing (accepted but not yet
 	// shipped) across all destinations of one endpoint: coalesce-or-
 	// pushback. An op that would exceed it is refused with a synthetic
-	// wire.Busy{op} delivered locally to Recv, exactly as if the
+	// wire.Busy notice delivered locally to Recv, exactly as if the
 	// destination itself had pushed back — the client's slow-object
 	// handling deals with both identically. 0 = unbounded (the
 	// pre-flow-control behaviour).
@@ -264,7 +264,7 @@ func (c *Conn) Send(to transport.NodeID, payload wire.Msg) {
 		if c.opts.Trace != nil {
 			c.traceEmit(obs.EvBusyEmit, to, "pending-budget", payload)
 		}
-		c.pushLocal(transport.Message{From: to, Payload: wire.Busy{Msg: payload}})
+		c.pushLocal(transport.Message{From: to, Payload: wire.BusyFor(payload)})
 		return
 	}
 	q.ops = append(q.ops, payload)
@@ -407,7 +407,7 @@ func (c *Conn) flushDest(to transport.NodeID, gen int) {
 }
 
 // traceEmit records one event of the given kind per traced op inside
-// msgs (op IDs extracted through the envelope nesting by wire.OpIDs).
+// msgs (op IDs extracted by wire.OpIDs).
 // Callers guard on c.opts.Trace != nil so the untraced hot path pays
 // neither the variadic slice nor the detail formatting.
 func (c *Conn) traceEmit(kind obs.EventKind, to transport.NodeID, detail string, msgs ...wire.Msg) {

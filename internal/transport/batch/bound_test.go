@@ -27,7 +27,7 @@ func TestPendingBudgetPushback(t *testing.T) {
 	obj := transport.Object(0)
 	c.Send(obj, wire.BaselineReadReq{Attempt: 0})
 	c.Send(obj, wire.BaselineReadReq{Attempt: 1})
-	c.Send(obj, wire.BaselineReadReq{Attempt: 2}) // over budget: pushback
+	c.Send(obj, wire.RegOp{Reg: "k", Op: 2, Msg: wire.BaselineReadReq{Attempt: 2}}) // over budget: pushback
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
@@ -42,8 +42,8 @@ func TestPendingBudgetPushback(t *testing.T) {
 	if m.From != obj {
 		t.Fatalf("Busy attributed to %v, want the destination %v", m.From, obj)
 	}
-	if got := busy.Msg.(wire.BaselineReadReq).Attempt; got != 2 {
-		t.Fatalf("Busy echoes attempt %d, want the refused op 2", got)
+	if len(busy.Ops) != 1 || busy.Ops[0] != (wire.OpRef{Reg: "k", Op: 2}) {
+		t.Fatalf("Busy names %+v, want the refused op k/2", busy.Ops)
 	}
 	if len(inner.frames()) != 0 {
 		t.Fatal("refused op must not reach the wire")

@@ -18,7 +18,7 @@
 //     answers exhaustion with a synthetic wire.Busy instead of queueing
 //     without bound (coalesce-or-pushback).
 //   - memnet and tcpnet bound the object-side request queue (total, and
-//     per sender) and reply wire.Busy{rejected request} beyond it —
+//     per sender) and reply a wire.Busy naming the rejected ops beyond it —
 //     overload becomes an explicit, actionable signal on the wire.
 //   - the store's client mux treats a Busy (or a shed send) as a
 //     transiently slow object: it still needs only S−t replies, so it
@@ -159,7 +159,7 @@ func (c *Counters) Describe(s *obs.Scope) {
 	s.AttachWatermark("batch_high_water", &c.batchHighWater)
 }
 
-// AddPushback counts one wire.Busy observed by a client mux.
+// AddPushback counts one op bounced by a wire.Busy a client mux observed.
 func (c *Counters) AddPushback() {
 	if c != nil {
 		c.pushbacks.Inc()
@@ -261,7 +261,7 @@ func (c *Counters) Snapshot() Stats {
 
 // Stats is a point-in-time snapshot of flow-control activity.
 type Stats struct {
-	Pushbacks      int64 // wire.Busy frames observed by client muxes
+	Pushbacks      int64 // ops bounced by the wire.Busy notices client muxes observed
 	BatchPushbacks int64 // sends rejected at the batch layer's pending budget
 	Sheds          int64 // sends skipped because the member was marked slow
 	Hedges         int64 // straggler re-sends fired

@@ -11,8 +11,14 @@ import (
 	"repro/internal/wire"
 )
 
+// wreq is write request ts behind a register header whose trace ID is
+// ts too, so a Busy notice identifies the request it bounced.
+func wreq(ts types.TS) wire.Msg {
+	return wire.RegOp{Reg: "r", Op: uint64(ts), Msg: wire.WReq{TS: ts}}
+}
+
 // TestObjectQueueBusyPushback: a base object whose bounded request
-// queue is full answers wire.Busy{request} instead of queueing without
+// queue is full answers a wire.Busy naming the request instead of queueing without
 // bound — overload becomes a signal, not growth.
 func TestObjectQueueBusyPushback(t *testing.T) {
 	n := New()
@@ -26,7 +32,7 @@ func TestObjectQueueBusyPushback(t *testing.T) {
 	err := n.Serve(obj, transport.HandlerFunc(func(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		entered <- struct{}{}
 		<-release
-		return wire.WAck{ObjectID: 0, TS: req.(wire.WReq).TS}, true
+		return wire.WAck{ObjectID: 0, TS: req.(wire.RegOp).Msg.(wire.WReq).TS}, true
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -36,12 +42,12 @@ func TestObjectQueueBusyPushback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.Send(obj, wire.WReq{TS: 1})
+	c.Send(obj, wreq(1))
 	<-entered // the handler now holds request 1; the queue is empty again
 	// Sends are synchronous without a delay function, so request 2
 	// occupies the single queue slot before request 3 is judged.
-	c.Send(obj, wire.WReq{TS: 2})
-	c.Send(obj, wire.WReq{TS: 3}) // queue full: bounced
+	c.Send(obj, wreq(2))
+	c.Send(obj, wreq(3)) // queue full: bounced
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -56,8 +62,8 @@ func TestObjectQueueBusyPushback(t *testing.T) {
 	if m.From != obj {
 		t.Fatalf("Busy from %v, want %v", m.From, obj)
 	}
-	if ts := busy.Msg.(wire.WReq).TS; ts != 3 {
-		t.Fatalf("Busy echoes ts %d, want the rejected request 3", ts)
+	if len(busy.Ops) != 1 || busy.Ops[0] != (wire.OpRef{Reg: "r", Op: 3}) {
+		t.Fatalf("Busy names %+v, want the rejected request 3", busy.Ops)
 	}
 
 	close(release)
@@ -105,11 +111,11 @@ func TestPerSenderQueueShare(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flooder.Send(obj, wire.WReq{TS: 1})
+	flooder.Send(obj, wreq(1))
 	<-entered // request 1 popped; the flooder's queued share is now 0
-	flooder.Send(obj, wire.WReq{TS: 2})
-	flooder.Send(obj, wire.WReq{TS: 3})
-	flooder.Send(obj, wire.WReq{TS: 4}) // over the per-sender share: bounced
+	flooder.Send(obj, wreq(2))
+	flooder.Send(obj, wreq(3))
+	flooder.Send(obj, wreq(4)) // over the per-sender share: bounced
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -118,11 +124,11 @@ func TestPerSenderQueueShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	busy, ok := m.Payload.(wire.Busy)
-	if !ok || busy.Msg.(wire.WReq).TS != 4 {
-		t.Fatalf("flooder got %T %v, want Busy echoing request 4", m.Payload, m.Payload)
+	if !ok || len(busy.Ops) != 1 || busy.Ops[0].Op != 4 {
+		t.Fatalf("flooder got %T %v, want Busy naming request 4", m.Payload, m.Payload)
 	}
 	// The other sender still has queue room: no pushback for it.
-	other.Send(obj, wire.WReq{TS: 9})
+	other.Send(obj, wreq(9))
 	short, cancelShort := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancelShort()
 	if m, err := other.Recv(short); err == nil {
@@ -152,7 +158,7 @@ func TestFlowOffUnbounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		c.Send(obj, wire.WReq{TS: types.TS(i)})
+		c.Send(obj, wreq(types.TS(i)))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()

@@ -81,8 +81,8 @@ func (n *Net) EnableBatching(opts batch.Options) {
 
 // SetFlow bounds the queues of subsequently created endpoints per opts
 // (see internal/transport/flow): base-object request queues cap at
-// ObjectBudget in total and at LinkBudget per sender, answering
-// wire.Busy{request} beyond either. Client inboxes
+// ObjectBudget in total and at LinkBudget per sender, answering a
+// wire.Busy notice beyond either. Client inboxes
 // are instrumented (depth reported into ctrs) but not enforced: a
 // protocol reply cannot be re-elicited once shed — objects deliberately
 // do not re-acknowledge duplicate requests (Figs. 3/5) — so reply
@@ -449,19 +449,19 @@ func (n *Net) route(from, to transport.NodeID, payload wire.Msg) {
 	tr, shard := n.trace, n.trShard
 	n.mu.Unlock()
 	if srv != nil {
-		clone := wire.Clone(payload)
-		if !srv.enqueue(from, clone) {
+		if !srv.enqueue(from, wire.Clone(payload)) {
 			// The object's bounded request queue is full: overload becomes
-			// an explicit signal — the rejected request travels back as a
-			// Busy echo instead of growing the queue without bound. The
+			// an explicit signal — a Busy notice naming the rejected ops
+			// travels back instead of the queue growing without bound. The
 			// pushback pays the normal send-path dice (taps, delays).
+			busy := wire.BusyFor(payload)
 			if tr != nil {
 				detail := fmt.Sprintf("queue=%d", srv.depth())
-				for _, op := range wire.OpIDs(clone, nil) {
+				for _, op := range wire.OpIDs(busy, nil) {
 					tr.Record(obs.Event{Op: op, Kind: obs.EvBusyEmit, Shard: shard, Member: to.Index, Detail: detail})
 				}
 			}
-			n.send(to, from, wire.Busy{Msg: clone})
+			n.send(to, from, busy)
 		}
 	}
 }

@@ -7,11 +7,18 @@ import (
 
 	"repro/internal/transport"
 	"repro/internal/transport/flow"
+	"repro/internal/types"
 	"repro/internal/wire"
 )
 
+// wreq is write request ts behind a register header whose trace ID is
+// ts too, so a Busy notice identifies the request it bounced.
+func wreq(ts types.TS) wire.Msg {
+	return wire.RegOp{Reg: "r", Op: uint64(ts), Msg: wire.WReq{TS: ts}}
+}
+
 // TestAdmissionBusyPushback: a served object at its admission budget
-// answers wire.Busy{request} on the wire instead of queueing the
+// answers a wire.Busy naming the request on the wire instead of queueing the
 // request behind the ones in service.
 func TestAdmissionBusyPushback(t *testing.T) {
 	n := New()
@@ -25,7 +32,7 @@ func TestAdmissionBusyPushback(t *testing.T) {
 	err := n.Serve(obj, transport.HandlerFunc(func(from transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		entered <- struct{}{}
 		<-release
-		return wire.WAck{ObjectID: 0, TS: req.(wire.WReq).TS}, true
+		return wire.WAck{ObjectID: 0, TS: req.(wire.RegOp).Msg.(wire.WReq).TS}, true
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -40,9 +47,9 @@ func TestAdmissionBusyPushback(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	holder.Send(obj, wire.WReq{TS: 1})
+	holder.Send(obj, wreq(1))
 	<-entered // the only admission credit is now held
-	bounced.Send(obj, wire.WReq{TS: 2})
+	bounced.Send(obj, wreq(2))
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -54,8 +61,8 @@ func TestAdmissionBusyPushback(t *testing.T) {
 	if !ok {
 		t.Fatalf("reply = %T, want Busy pushback", m.Payload)
 	}
-	if ts := busy.Msg.(wire.WReq).TS; ts != 2 {
-		t.Fatalf("Busy echoes ts %d, want the rejected request 2", ts)
+	if len(busy.Ops) != 1 || busy.Ops[0] != (wire.OpRef{Reg: "r", Op: 2}) {
+		t.Fatalf("Busy names %+v, want the rejected request 2", busy.Ops)
 	}
 	if m.From != obj {
 		t.Fatalf("Busy from %v, want %v", m.From, obj)
@@ -66,7 +73,7 @@ func TestAdmissionBusyPushback(t *testing.T) {
 		t.Fatalf("admitted request not served: %v %v", m, err)
 	}
 	// The freed credit admits the retry.
-	bounced.Send(obj, wire.WReq{TS: 3})
+	bounced.Send(obj, wreq(3))
 	<-entered
 	if m, err := bounced.Recv(ctx); err != nil || m.Payload.(wire.WAck).TS != 3 {
 		t.Fatalf("retry after pushback not served: %v %v", m, err)

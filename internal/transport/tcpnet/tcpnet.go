@@ -1,9 +1,9 @@
 // Package tcpnet runs the protocols over real TCP sockets: each base
 // object listens on its own address, clients keep one connection per
 // object and exchange length-prefixed compact-codec frames (see
-// internal/wire's EncodeCompact — reflection-free and far cheaper per
-// message than gob, which matters on the batched hot path where one
-// frame carries up to MaxBatch ops). It implements the same transport
+// internal/wire's EncodeCompact — reflection-free and cheap per
+// message, which matters on the batched hot path where one frame
+// carries up to MaxBatch ops). It implements the same transport
 // interfaces as memnet and simnet, so every client in this repository
 // runs over it unchanged — the cmd/robustread demo and the integration
 // tests use it for end-to-end realism.
@@ -164,7 +164,7 @@ func New() *Net {
 // SetFlow bounds the queues of subsequently created endpoints per opts
 // (see internal/transport/flow): each served object admits at most
 // ObjectBudget requests concurrently across its connections — beyond
-// that a request is answered with a wire.Busy{request} echo instead of
+// that a request is answered with a wire.Busy notice instead of
 // being processed (the socket buffers below stay OS-bounded either
 // way; the admission cap is what turns saturation into an explicit,
 // immediate signal). LinkBudget needs no enforcement here: a
@@ -329,15 +329,16 @@ func (n *Net) serveConn(id transport.NodeID, h transport.Handler, c net.Conn) {
 		}
 		if admission != nil && !admission.TryAcquire() {
 			// The object is at its admission budget across connections:
-			// push back with a Busy echo instead of queueing behind the
+			// push back with a Busy notice instead of queueing behind the
 			// other requests — overload must signal, not stall.
+			busy := wire.BusyFor(payload)
 			if tr != nil {
 				detail := fmt.Sprintf("inflight=%d", admission.HighWater())
-				for _, op := range wire.OpIDs(payload, nil) {
+				for _, op := range wire.OpIDs(busy, nil) {
 					tr.Record(obs.Event{Op: op, Kind: obs.EvBusyEmit, Shard: shard, Member: id.Index, Detail: detail})
 				}
 			}
-			if err := writeFrame(w, id, wire.Busy{Msg: payload}); err != nil {
+			if err := writeFrame(w, id, busy); err != nil {
 				return
 			}
 			continue

@@ -1,26 +1,26 @@
 package wire
 
-// A hand-rolled compact binary codec for the protocol messages, as an
-// alternative to gob. gob is self-describing and pays a per-message
-// type-dictionary cost that dominates the small control messages these
-// protocols exchange; the compact codec writes a one-byte tag followed
-// by varint-packed fields. BenchmarkCodecComparison (binary_test.go)
-// quantifies the difference; integrators embedding the library in a
-// bandwidth-sensitive deployment can frame connections with
-// EncodeCompact/DecodeCompact instead of Encode/Decode — both sides of
-// every message type round-trip exactly.
+// The compact binary codec: the one serialization of the protocol
+// messages. Each message is a one-byte tag followed by varint-packed
+// fields — the small control messages these protocols exchange would be
+// dominated by the type dictionary of a self-describing format.
+// BenchmarkCodec (binary_test.go) reports ns/op and bytes/msg per
+// representative message.
 //
 // The codec is built for the batched hot path:
 //
 //   - AppendCompact encodes into a caller-supplied buffer, so a
-//     transport can reuse one scratch buffer per connection and reach
-//     zero steady-state allocations per frame (tcpnet does).
-//   - Nested messages (RegOp, Batch, Epoch, ConfigEpoch, Busy) are
-//     encoded directly into the outgoing frame: the length prefix is
-//     reserved as a fixed-width padded varint and backfilled once the
-//     payload is in place, instead of marshalling the sub-message to a
-//     temporary buffer and copying it in. A Batch of 64 RegOps is one
-//     buffer, not 129.
+//     transport can reuse one scratch buffer per connection (tcpnet
+//     does) and encode a frame without allocating: the sort buffers of
+//     map-shaped fields (timestamp matrices, histories) live on the
+//     stack up to sortBufMatrix rows and sortBufHistory entries and
+//     spill to the heap only beyond.
+//   - The messages inside a RegOp or Batch are encoded directly into
+//     the outgoing frame: the length prefix is reserved as a
+//     fixed-width padded varint and backfilled once the payload is in
+//     place, instead of marshalling the sub-message to a temporary
+//     buffer and copying it in. A Batch of 64 RegOps is one buffer,
+//     not 129.
 //   - Decoding walks a cursor over the input and hands nested payloads
 //     to the recursive decoder as sub-slice views, copying only the
 //     leaf byte fields the decoded message must own.
@@ -33,7 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/types"
@@ -57,12 +57,30 @@ const (
 	tagPushState
 	tagRegOp
 	tagBatch
-	tagEpoch
+	_ // 17: the retired incarnation envelope (now RegOp.Inc)
 	tagStateReq
 	tagStateResp
-	tagConfigEpoch
+	_ // 20: the retired configuration envelope (now RegOp.Cfg)
 	tagConfigUpdate
 	tagBusy
+)
+
+// RegOp header flags: which optional header fields follow the register
+// name. An unstamped, untraced header costs this one byte.
+const (
+	hdrTraced byte = 1 << iota // Op follows
+	hdrInc                     // Inc follows
+	hdrCfg                     // Cfg follows
+	hdrKnown  = hdrTraced | hdrInc | hdrCfg
+)
+
+// Sort-buffer sizes of the encoder: a timestamp matrix has one row per
+// base object (S is single-digit in every deployment here) and GC'd
+// histories settle around twenty entries, so both sorts normally run on
+// the stack.
+const (
+	sortBufMatrix  = 8
+	sortBufHistory = 32
 )
 
 // subLenWidth is the fixed byte width of a nested-message length
@@ -164,13 +182,14 @@ func (e *enc) tsrMatrix(m types.TSRMatrix) {
 		e.u(0)
 		return
 	}
-	ids := make([]types.ObjectID, 0, len(m))
+	var buf [sortBufMatrix]types.ObjectID
+	ids := buf[:0]
 	for id, vec := range m {
 		if vec != nil {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+	slices.Sort(ids)
 	e.u(uint64(len(ids)))
 	for _, id := range ids {
 		e.i(int64(id))
@@ -184,7 +203,12 @@ func (e *enc) wtuple(w types.WTuple) {
 }
 
 func (e *enc) history(h types.History) {
-	tss := h.Timestamps()
+	var buf [sortBufHistory]types.TS
+	tss := buf[:0]
+	for ts := range h {
+		tss = append(tss, ts)
+	}
+	slices.Sort(tss)
 	e.u(uint64(len(tss)))
 	for _, ts := range tss {
 		entry := h[ts]
@@ -290,7 +314,28 @@ func (e *enc) msg(m Msg) error {
 	case RegOp:
 		e.byte(tagRegOp)
 		e.str(v.Reg)
-		e.u(v.Op)
+		var flags byte
+		if v.Op != 0 {
+			flags |= hdrTraced
+		}
+		inc, hasInc := v.Inc.Get()
+		if hasInc {
+			flags |= hdrInc
+		}
+		cfg, hasCfg := v.Cfg.Get()
+		if hasCfg {
+			flags |= hdrCfg
+		}
+		e.byte(flags)
+		if v.Op != 0 {
+			e.u(v.Op)
+		}
+		if hasInc {
+			e.u(uint64(inc))
+		}
+		if hasCfg {
+			e.u(uint64(cfg))
+		}
 		return e.nested(v.Msg)
 	case Batch:
 		e.byte(tagBatch)
@@ -300,10 +345,6 @@ func (e *enc) msg(m Msg) error {
 				return err
 			}
 		}
-	case Epoch:
-		e.byte(tagEpoch)
-		e.i(v.Inc)
-		return e.nested(v.Msg)
 	case StateReq:
 		e.byte(tagStateReq)
 		e.i(v.Seq)
@@ -320,13 +361,13 @@ func (e *enc) msg(m Msg) error {
 			e.history(rs.History)
 			e.tsrVector(rs.TSR)
 		}
-	case ConfigEpoch:
-		e.byte(tagConfigEpoch)
-		e.i(v.Epoch)
-		return e.nested(v.Msg)
 	case Busy:
 		e.byte(tagBusy)
-		return e.nested(v.Msg)
+		e.u(uint64(len(v.Ops)))
+		for _, ref := range v.Ops {
+			e.str(ref.Reg)
+			e.u(ref.Op)
+		}
 	case ConfigUpdate:
 		e.byte(tagConfigUpdate)
 		e.i(v.Shard)
@@ -345,7 +386,7 @@ func (e *enc) msg(m Msg) error {
 // AppendCompact serializes a message with the compact codec, appending
 // the encoding to dst and returning the extended buffer. Callers that
 // hold a reusable scratch buffer (one per connection, or drawn from a
-// pool) encode with zero per-frame allocations.
+// pool) encode without allocating (see the sort-buffer note above).
 func AppendCompact(dst []byte, m Msg) ([]byte, error) {
 	e := enc{b: dst}
 	if err := e.msg(m); err != nil {
@@ -432,38 +473,50 @@ func (d *dec) byte() byte {
 // allocate unbounded memory from a tiny frame.
 const maxLen = 1 << 26
 
-// bytesN copies out a length-prefixed byte field. Decoded messages own
-// their data (the frame buffer may be pooled and reused), so leaf byte
-// fields copy; nested message payloads use view instead.
-func (d *dec) bytesN() []byte {
+// count reads a length prefix — a byte length or an element count,
+// every element costing at least one byte — and rejects one the
+// remaining frame provably cannot hold, before anything is sized from
+// it. After an error it returns 0, so callers allocate and loop over
+// nothing.
+func (d *dec) count(what string) int {
 	n := d.u()
+	if d.err == nil && (n > maxLen || int64(n) > int64(d.rem())) {
+		d.err = fmt.Errorf("wire: %s length %d exceeds frame", what, n)
+	}
 	if d.err != nil {
-		return nil
+		return 0
 	}
-	if n > maxLen || int64(n) > int64(d.rem()) {
-		d.err = fmt.Errorf("wire: length %d exceeds frame", n)
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:d.off+int(n)])
-	d.off += int(n)
-	return out
+	return int(n)
 }
 
 // view returns a length-prefixed sub-frame as a slice of the input —
 // no copy. Only the recursive decoder reads it; nothing retains it.
 func (d *dec) view() []byte {
-	n := d.u()
+	n := d.count("field")
+	s := d.b[d.off : d.off+n]
+	d.off += n
+	return s
+}
+
+// bytesN copies out a length-prefixed byte field. Decoded messages own
+// their data (the frame buffer may be pooled and reused), so leaf byte
+// fields copy; nested message payloads use view instead.
+func (d *dec) bytesN() []byte {
+	v := d.view()
 	if d.err != nil {
 		return nil
 	}
-	if n > maxLen || int64(n) > int64(d.rem()) {
-		d.err = fmt.Errorf("wire: length %d exceeds frame", n)
-		return nil
+	return append(make([]byte, 0, len(v)), v...)
+}
+
+// stamp reads an optional header counter the flags announced.
+func (d *dec) stamp() Stamp {
+	v := d.u()
+	if d.err == nil && v >= math.MaxUint32 {
+		d.err = fmt.Errorf("wire: header stamp %d out of range", v)
+		return 0
 	}
-	s := d.b[d.off : d.off+int(n)]
-	d.off += int(n)
-	return s
+	return Stamp(v) + 1
 }
 
 func (d *dec) optBytes() []byte {
@@ -482,13 +535,8 @@ func (d *dec) tsrVector() types.TSRVector {
 	if d.byte() == 0 {
 		return nil
 	}
-	n := d.u()
-	// Each entry is at least one varint byte, so a count above the
-	// remaining frame is provably bogus — reject before allocating.
-	if d.err != nil || n > maxLen || int64(n) > int64(d.rem()) {
-		if d.err == nil {
-			d.err = fmt.Errorf("wire: vector length %d", n)
-		}
+	n := d.count("vector")
+	if d.err != nil {
 		return nil
 	}
 	out := make(types.TSRVector, n)
@@ -499,15 +547,12 @@ func (d *dec) tsrVector() types.TSRVector {
 }
 
 func (d *dec) tsrMatrix() types.TSRMatrix {
-	n := d.u()
-	if d.err != nil || n > maxLen || int64(n) > int64(d.rem()) {
-		if d.err == nil {
-			d.err = fmt.Errorf("wire: matrix length %d", n)
-		}
+	n := d.count("matrix")
+	if d.err != nil {
 		return nil
 	}
 	m := types.NewTSRMatrix()
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		id := types.ObjectID(d.i())
 		m[id] = d.tsrVector()
 	}
@@ -519,15 +564,12 @@ func (d *dec) wtuple() types.WTuple {
 }
 
 func (d *dec) history() types.History {
-	n := d.u()
-	if d.err != nil || n > maxLen || int64(n) > int64(d.rem()) {
-		if d.err == nil {
-			d.err = fmt.Errorf("wire: history length %d", n)
-		}
+	n := d.count("history")
+	if d.err != nil {
 		return nil
 	}
 	h := make(types.History) // grows on demand; n is attacker-controlled
-	for i := uint64(0); i < n && d.err == nil; i++ {
+	for i := 0; i < n && d.err == nil; i++ {
 		ts := types.TS(d.i())
 		entry := types.HistEntry{PW: d.tsval()}
 		if d.byte() == 1 {
@@ -539,13 +581,12 @@ func (d *dec) history() types.History {
 	return h
 }
 
-// maxNest caps RegOp/Batch/Epoch/ConfigEpoch/Busy nesting during
-// decode. Legitimate frames nest at most five levels (a Busy echo of a
-// Batch of ConfigEpoch-stamped, Epoch-stamped RegOps on the flow-,
-// membership- and recovery-enabled path); without a cap, a Byzantine
-// peer could craft a deeply self-nested frame whose recursive decode
-// exhausts the stack — a fatal, unrecoverable runtime error.
-const maxNest = 6
+// maxNest caps nesting during decode. The deepest legitimate frame is
+// Batch{RegOp{leaf}}: everything the recovery, membership and flow
+// layers add is a RegOp header field or a leaf notice. Without a cap, a
+// Byzantine peer could craft a deeply self-nested frame whose recursive
+// decode exhausts the stack — a fatal, unrecoverable runtime error.
+const maxNest = 2
 
 // DecodeCompact deserializes a message produced by EncodeCompact. The
 // returned message owns all its data; data may be a pooled buffer the
@@ -599,27 +640,33 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 		m = PushState{ObjectID: types.ObjectID(d.i()), Seq: d.i(), TS: types.TS(d.i()), Val: d.optBytes(), Echo: d.byte() == 1}
 	case tagRegOp:
 		reg := string(d.bytesN())
-		op := d.u()
+		flags := d.byte()
+		if d.err == nil && flags&^hdrKnown != 0 {
+			d.err = fmt.Errorf("wire: unknown header flags %#x", flags)
+		}
+		var op uint64
+		var inc, cfg Stamp
+		if flags&hdrTraced != 0 {
+			op = d.u()
+		}
+		if flags&hdrInc != 0 {
+			inc = d.stamp()
+		}
+		if flags&hdrCfg != 0 {
+			cfg = d.stamp()
+		}
 		sub := d.view()
 		if d.err == nil {
 			inner, err := decodeCompact(sub, depth+1)
 			if err != nil {
 				return nil, fmt.Errorf("wire: compact codec: reg op payload: %w", err)
 			}
-			m = RegOp{Reg: reg, Op: op, Msg: inner}
+			m = RegOp{Reg: reg, Op: op, Inc: inc, Cfg: cfg, Msg: inner}
 		}
 	case tagBatch:
-		n := d.u()
-		// Each op costs at least one length byte; a count above the
-		// remaining frame is provably bogus.
-		if d.err == nil && (n > maxLen || int64(n) > int64(d.rem())) {
-			d.err = fmt.Errorf("wire: batch length %d", n)
-		}
-		if d.err != nil {
-			n = 0 // never size an allocation from a rejected count
-		}
-		ops := make([]Msg, 0, min(int(n), 1024))
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		n := d.count("batch")
+		ops := make([]Msg, 0, min(n, 1024))
+		for i := 0; i < n && d.err == nil; i++ {
 			sub := d.view()
 			if d.err != nil {
 				break
@@ -631,67 +678,29 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 			ops = append(ops, inner)
 		}
 		m = Batch{Ops: ops}
-	case tagEpoch:
-		inc := d.i()
-		sub := d.view()
-		if d.err == nil {
-			inner, err := decodeCompact(sub, depth+1)
-			if err != nil {
-				return nil, fmt.Errorf("wire: compact codec: epoch payload: %w", err)
-			}
-			m = Epoch{Inc: inc, Msg: inner}
-		}
-	case tagConfigEpoch:
-		epoch := d.i()
-		sub := d.view()
-		if d.err == nil {
-			inner, err := decodeCompact(sub, depth+1)
-			if err != nil {
-				return nil, fmt.Errorf("wire: compact codec: config epoch payload: %w", err)
-			}
-			m = ConfigEpoch{Epoch: epoch, Msg: inner}
-		}
 	case tagConfigUpdate:
 		cu := ConfigUpdate{Shard: d.i(), Epoch: d.i()}
-		n := d.u()
-		// Each member is at least one varint byte; a count above the
-		// remaining frame is provably bogus — reject before allocating.
-		if d.err == nil && (n > maxLen || int64(n) > int64(d.rem())) {
-			d.err = fmt.Errorf("wire: member list length %d", n)
-		}
-		if d.err != nil {
-			n = 0
-		}
-		cu.Members = make([]int64, 0, min(int(n), 1024))
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		n := d.count("member list")
+		cu.Members = make([]int64, 0, min(n, 1024))
+		for i := 0; i < n && d.err == nil; i++ {
 			cu.Members = append(cu.Members, d.i())
 		}
 		cu.Sig = d.bytesN()
 		m = cu
 	case tagBusy:
-		sub := d.view()
-		if d.err == nil {
-			inner, err := decodeCompact(sub, depth+1)
-			if err != nil {
-				return nil, fmt.Errorf("wire: compact codec: busy payload: %w", err)
-			}
-			m = Busy{Msg: inner}
+		n := d.count("busy notice")
+		refs := make([]OpRef, 0, min(n, 1024))
+		for i := 0; i < n && d.err == nil; i++ {
+			refs = append(refs, OpRef{Reg: string(d.bytesN()), Op: d.u()})
 		}
+		m = Busy{Ops: refs}
 	case tagStateReq:
 		m = StateReq{Seq: d.i(), Requester: types.ObjectID(d.i())}
 	case tagStateResp:
 		resp := StateResp{ObjectID: types.ObjectID(d.i()), Seq: d.i(), Incarnation: d.i()}
-		n := d.u()
-		// Each register costs at least a few bytes; a count above the
-		// remaining frame is provably bogus — reject before allocating.
-		if d.err == nil && (n > maxLen || int64(n) > int64(d.rem())) {
-			d.err = fmt.Errorf("wire: state resp length %d", n)
-		}
-		if d.err != nil {
-			n = 0
-		}
-		resp.Regs = make([]RegState, 0, min(int(n), 1024))
-		for i := uint64(0); i < n && d.err == nil; i++ {
+		n := d.count("state resp")
+		resp.Regs = make([]RegState, 0, min(n, 1024))
+		for i := 0; i < n && d.err == nil; i++ {
 			rs := RegState{Reg: string(d.bytesN()), TS: types.TS(d.i())}
 			rs.History = d.history()
 			rs.TSR = d.tsrVector()

@@ -2,7 +2,7 @@ package wire
 
 import (
 	"math/rand"
-
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -10,7 +10,7 @@ import (
 )
 
 // msgEqual deep-compares two messages using the domain equality of the
-// payload types (gob/compact round-trips may turn empty maps into nil).
+// payload types (a round trip may turn empty maps into nil).
 func msgEqual(a, b Msg) bool {
 	switch x := a.(type) {
 	case PWReq:
@@ -78,7 +78,7 @@ func msgEqual(a, b Msg) bool {
 			x.Val.Equal(y.Val) && x.Echo == y.Echo
 	case RegOp:
 		y, ok := b.(RegOp)
-		return ok && x.Reg == y.Reg && x.Op == y.Op && msgEqual(x.Msg, y.Msg)
+		return ok && x.Reg == y.Reg && x.Op == y.Op && x.Inc == y.Inc && x.Cfg == y.Cfg && msgEqual(x.Msg, y.Msg)
 	case Batch:
 		y, ok := b.(Batch)
 		if !ok || len(x.Ops) != len(y.Ops) {
@@ -90,12 +90,9 @@ func msgEqual(a, b Msg) bool {
 			}
 		}
 		return true
-	case Epoch:
-		y, ok := b.(Epoch)
-		return ok && x.Inc == y.Inc && msgEqual(x.Msg, y.Msg)
 	case Busy:
 		y, ok := b.(Busy)
-		return ok && msgEqual(x.Msg, y.Msg)
+		return ok && slices.Equal(x.Ops, y.Ops)
 	case StateReq:
 		y, ok := b.(StateReq)
 		return ok && x == y
@@ -162,30 +159,29 @@ func TestCompactRejectsGarbage(t *testing.T) {
 }
 
 func TestCompactRejectsDeepNesting(t *testing.T) {
-	// Legitimate frames nest at most Batch→RegOp→message; a Byzantine
+	// The deepest legitimate frame is Batch→RegOp→message; a Byzantine
 	// peer hand-crafting deeper self-nesting must hit the cap instead
 	// of recursing toward stack exhaustion.
-	m := Msg(WAck{ObjectID: 1, TS: 2})
-	for i := 0; i < 3; i++ {
-		m = RegOp{Reg: "r", Msg: m}
-	}
-	data, err := EncodeCompact(Batch{Ops: []Msg{m}}) // depth 4: allowed
+	leaf := Msg(WAck{ObjectID: 1, TS: 2})
+	data, err := EncodeCompact(Batch{Ops: []Msg{RegOp{Reg: "r", Msg: leaf}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DecodeCompact(data); err != nil {
 		t.Fatalf("nesting at the cap must decode: %v", err)
 	}
-	deep := Msg(WAck{ObjectID: 1, TS: 2})
-	for i := 0; i < 64; i++ {
-		deep = RegOp{Reg: "r", Msg: deep}
-	}
-	data, err = EncodeCompact(deep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeCompact(data); err == nil {
-		t.Fatal("64-deep nesting must be rejected")
+	for _, depth := range []int{maxNest + 1, 64} {
+		deep := leaf
+		for i := 0; i < depth; i++ {
+			deep = RegOp{Reg: "r", Msg: deep}
+		}
+		data, err = EncodeCompact(deep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCompact(data); err == nil {
+			t.Fatalf("%d-deep nesting must be rejected", depth)
+		}
 	}
 }
 
@@ -196,16 +192,6 @@ func TestCompactRejectsTrailingBytes(t *testing.T) {
 	}
 	if _, err := DecodeCompact(append(data, 0xAB)); err == nil {
 		t.Error("trailing bytes must be rejected")
-	}
-}
-
-func TestCompactSmallerThanGob(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		gobSize := EncodedSize(m)
-		compact := CompactSize(m)
-		if compact >= gobSize {
-			t.Errorf("%T: compact %dB not smaller than gob %dB", m, compact, gobSize)
-		}
 	}
 }
 
@@ -295,7 +281,7 @@ func TestQuickCompactNeverPanicsOnFuzz(t *testing.T) {
 	}
 }
 
-func BenchmarkCodecComparison(b *testing.B) {
+func BenchmarkCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	small := ReadReq{Round: Round2, Reader: 1, TSR: 12345, CacheTS: 678}
 	big := randomHistMsg(rng)
@@ -303,20 +289,7 @@ func BenchmarkCodecComparison(b *testing.B) {
 		name string
 		msg  Msg
 	}{{"small/ReadReq", small}, {"large/ReadAckHist", big}} {
-		b.Run("gob/"+tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				data, err := Encode(tc.msg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := Decode(data); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(EncodedSize(tc.msg)), "bytes/msg")
-		})
-		b.Run("compact/"+tc.name, func(b *testing.B) {
+		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				data, err := EncodeCompact(tc.msg)

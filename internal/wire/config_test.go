@@ -9,34 +9,22 @@ import (
 
 func configFixtures() []Msg {
 	return []Msg{
-		ConfigEpoch{Epoch: 3, Msg: RegOp{Reg: "users/42", Msg: WReq{TS: 7, PW: types.TSVal{TS: 7, Val: types.Value("v")}, W: types.InitWTuple()}}},
-		ConfigEpoch{Epoch: 0, Msg: Epoch{Inc: 2, Msg: RegOp{Reg: "r", Msg: WAck{ObjectID: 1, TS: 7}}}},
+		RegOp{Reg: "users/42", Cfg: StampOf(3), Msg: WReq{TS: 7, PW: types.TSVal{TS: 7, Val: types.Value("v")}, W: types.InitWTuple()}},
+		RegOp{Reg: "r", Inc: StampOf(2), Msg: WAck{ObjectID: 1, TS: 7}},
 		ConfigUpdate{Shard: 1, Epoch: 4, Members: []int64{0, 9, 2, 3}, Sig: []byte{0xde, 0xad, 0xbe, 0xef}},
 		ConfigUpdate{}, // zero value round-trips too
 	}
 }
 
-// TestConfigFramesRoundTripBothCodecs: the membership frames survive
-// gob and the compact codec byte-for-byte.
-func TestConfigFramesRoundTripBothCodecs(t *testing.T) {
+// TestConfigFramesRoundTrip: the membership frames survive the codec
+// field for field.
+func TestConfigFramesRoundTrip(t *testing.T) {
 	for _, m := range configFixtures() {
-		gobBytes, err := Encode(m)
-		if err != nil {
-			t.Fatalf("gob encode %T: %v", m, err)
-		}
-		back, err := Decode(gobBytes)
-		if err != nil {
-			t.Fatalf("gob decode %T: %v", m, err)
-		}
-		if !reflect.DeepEqual(normalize(m), normalize(back)) {
-			t.Fatalf("gob round trip of %#v yielded %#v", m, back)
-		}
-
 		compact, err := EncodeCompact(m)
 		if err != nil {
 			t.Fatalf("compact encode %T: %v", m, err)
 		}
-		back, err = DecodeCompact(compact)
+		back, err := DecodeCompact(compact)
 		if err != nil {
 			t.Fatalf("compact decode %T: %v", m, err)
 		}
@@ -46,7 +34,7 @@ func TestConfigFramesRoundTripBothCodecs(t *testing.T) {
 	}
 }
 
-// normalize maps nil and empty slices onto one form: the codecs may
+// normalize maps nil and empty slices onto one form: the codec may
 // decode an absent list as empty rather than nil, which is semantically
 // identical for these frames.
 func normalize(m Msg) Msg {
@@ -73,21 +61,21 @@ func TestConfigFrameClone(t *testing.T) {
 		t.Fatal("Clone aliased the update's slices")
 	}
 
-	ce := ConfigEpoch{Epoch: 2, Msg: RegOp{Reg: "k", Msg: BaselineWriteReq{TS: 1, Val: types.Value("x")}}}
-	cloned2 := Clone(ce).(ConfigEpoch)
-	cloned2.Msg.(RegOp).Msg.(BaselineWriteReq).Val[0] = 'y'
-	if ce.Msg.(RegOp).Msg.(BaselineWriteReq).Val[0] != 'x' {
+	ce := RegOp{Reg: "k", Cfg: StampOf(2), Msg: BaselineWriteReq{TS: 1, Val: types.Value("x")}}
+	cloned2 := Clone(ce).(RegOp)
+	cloned2.Msg.(BaselineWriteReq).Val[0] = 'y'
+	if ce.Msg.(BaselineWriteReq).Val[0] != 'x' {
 		t.Fatal("Clone aliased the wrapped value")
 	}
 }
 
-// TestConfigEpochFullReplyNesting: the deepest legitimate frame — a
-// Batch of config-stamped, incarnation-stamped register acks — decodes
-// within the nesting cap on the compact codec.
-func TestConfigEpochFullReplyNesting(t *testing.T) {
+// TestFullReplyNesting: the deepest legitimate frame — a Batch of
+// incarnation-stamped, traced register acks from a recovery- and
+// membership-enabled object — decodes within the nesting cap.
+func TestFullReplyNesting(t *testing.T) {
 	reply := Batch{Ops: []Msg{
-		ConfigEpoch{Epoch: 1, Msg: Epoch{Inc: 2, Msg: RegOp{Reg: "a", Msg: WAck{ObjectID: 0, TS: 3}}}},
-		ConfigEpoch{Epoch: 1, Msg: Epoch{Inc: 2, Msg: RegOp{Reg: "b", Msg: WAck{ObjectID: 0, TS: 4}}}},
+		RegOp{Reg: "a", Op: 7, Inc: StampOf(2), Msg: WAck{ObjectID: 0, TS: 3}},
+		RegOp{Reg: "b", Op: 8, Inc: StampOf(2), Msg: WAck{ObjectID: 0, TS: 4}},
 	}}
 	data, err := EncodeCompact(reply)
 	if err != nil {

@@ -6,25 +6,18 @@
 //
 // The same message set serves the safe protocol, the regular protocol
 // (history-carrying acks), the baselines, and the server-centric
-// extension. Messages are plain data; every payload type is registered
-// with encoding/gob so the TCP transport and the size accounting in
-// EncodedSize work on all of them.
+// extension. Messages are plain data with one serialization, the
+// compact codec of binary.go, which the TCP transport frames with and
+// every byte-volume figure (internal/stats, E7, E8) is measured in.
 //
-// Adding a message type means updating four places, and the
+// Adding a message type means updating three places, and the
 // wireexhaustive analyzer (internal/analysis/wireexhaustive, run by
 // `make lint`) flags any that are missed: declare the type with an
 // isMsg method, add a tag<Type> constant and codec arms in binary.go,
-// add the type to every type switch over Msg, and register it in the
-// gob.Register block below.
+// and add the type to every type switch over Msg.
 package wire
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
-	"repro/internal/types"
-)
+import "repro/internal/types"
 
 // Msg is any protocol message payload.
 type Msg interface{ isMsg() }
@@ -157,11 +150,12 @@ type PairsReadAck struct {
 
 // Multi-register and batching frames --------------------------------------
 
-// RegOp addresses a protocol message to one named register of a
-// multi-register base object. The sharded store (internal/store) keeps
-// one independent register automaton per key on every base object and
-// uses RegOp as the demultiplexing envelope; the wrapped Msg is any of
-// the single-register messages above, unchanged.
+// RegOp is the one frame header: it addresses a protocol message to
+// one named register of a multi-register base object and carries
+// everything the layers around the protocol stamp on a frame. The
+// sharded store (internal/store) keeps one independent register
+// automaton per key on every base object and demultiplexes on Reg; the
+// wrapped Msg is any of the single-register messages above, unchanged.
 //
 // Op is the distributed trace context: the client mux stamps requests
 // with the op's trace ID (obs.Tracer.NewOp) and servers echo it on the
@@ -169,42 +163,76 @@ type PairsReadAck struct {
 // can attribute its events to the client operation that caused them.
 // Zero means untraced (telemetry off, or traffic that predates the op
 // bind); every layer treats 0 as "no trace context" and emits nothing.
+//
+// Inc is the incarnation stamp of a recovery-enabled base object
+// (recovery.Guard sets it on every reply): an amnesia restart bumps the
+// incarnation, clients track the highest one seen per object and reject
+// replies from earlier ones — a zombie reply that left the object
+// before its crash reflects state the object no longer holds and must
+// not count toward a quorum.
+//
+// Cfg is the request-side configuration epoch — the monotonically
+// increasing version of the shard's member list (which logical object
+// slot lives at which transport address) the client mux believes in.
+// Base objects (membership.Gate) answer a request from a stale
+// configuration with a ConfigUpdate redirect instead of serving it, so
+// a lagging client self-heals in one extra round-trip. Replies carry no
+// configuration stamp: clients decide by the member list which replies
+// may count toward quorums — a reply from an address evicted by
+// reconfiguration never does, and a surviving member's register state
+// is continuous across a flip.
+//
+// The two stamps share the eight bytes that keep the header inside the
+// allocator's 48-byte size class — RegOp is boxed into a Msg some 25
+// times per store operation.
 type RegOp struct {
 	Reg string
 	Op  uint64
 	Msg Msg
+	Inc Stamp
+	Cfg Stamp
 }
 
-// OpIDs appends the trace operation IDs of every traced RegOp inside
-// msg to acc, unwrapping the envelopes a request can travel in (Busy
-// echoes, Batch frames, configuration and incarnation envelopes).
-// Untraced ops (Op == 0) are skipped. The fault and transport layers
-// use it to attribute a drop/delay/busy verdict to the victim ops.
-// Implemented as an assertion chain rather than a type switch: it is a
-// deliberately partial view over the message set (leaf messages carry
-// no trace context), which a type switch over Msg would misrepresent
-// to the wireexhaustive analyzer as a forgotten case list.
+// Stamp is an optional header counter. The zero value means "not
+// stamped" — distinct from a stamped 0, which is what lets a gate tell
+// a client at configuration epoch 0 from one that never enabled
+// membership. Counters (incarnations, configuration epochs) advance by
+// one per restart or reconfiguration and stay far below the 2³²−2 a
+// Stamp can hold.
+type Stamp uint32
+
+// StampOf returns the stamp carrying v.
+func StampOf(v int64) Stamp { return Stamp(v) + 1 }
+
+// Get returns the stamped value and whether there is one.
+func (s Stamp) Get() (int64, bool) { return int64(s) - 1, s != 0 }
+
+// OpIDs appends to acc the trace operation IDs a frame carries: those
+// of its traced RegOps (a bare one, or the ops of a Batch) or of the
+// ops a Busy notice bounces. Untraced ops (Op == 0) are skipped. The
+// fault and transport layers use it to attribute a drop/delay/busy
+// verdict to the victim ops. Implemented as an assertion chain rather
+// than a type switch: it is a deliberately partial view over the
+// message set (leaf messages carry no trace context), which a type
+// switch over Msg would misrepresent to the wireexhaustive analyzer as
+// a forgotten case list.
 func OpIDs(msg Msg, acc []uint64) []uint64 {
-	if v, ok := msg.(RegOp); ok {
-		if v.Op != 0 {
-			acc = append(acc, v.Op)
-		}
-		return acc
+	if v, ok := msg.(RegOp); ok && v.Op != 0 {
+		return append(acc, v.Op)
 	}
 	if v, ok := msg.(Batch); ok {
 		for _, op := range v.Ops {
-			acc = OpIDs(op, acc)
+			if ro, ok := op.(RegOp); ok && ro.Op != 0 {
+				acc = append(acc, ro.Op)
+			}
 		}
-		return acc
-	}
-	if v, ok := msg.(ConfigEpoch); ok {
-		return OpIDs(v.Msg, acc)
-	}
-	if v, ok := msg.(Epoch); ok {
-		return OpIDs(v.Msg, acc)
 	}
 	if v, ok := msg.(Busy); ok {
-		return OpIDs(v.Msg, acc)
+		for _, ref := range v.Ops {
+			if ref.Op != 0 {
+				acc = append(acc, ref.Op)
+			}
+		}
 	}
 	return acc
 }
@@ -220,18 +248,6 @@ type Batch struct {
 }
 
 // Recovery (amnesia catch-up) messages ------------------------------------
-
-// Epoch is the incarnation envelope of a recovery-enabled base object:
-// every protocol reply is wrapped with the object's current incarnation
-// number, which an amnesia restart bumps. Clients track the highest
-// incarnation seen per object and reject replies from earlier
-// incarnations — a zombie reply that left the object before its crash
-// reflects state the object no longer holds and must not count toward a
-// quorum.
-type Epoch struct {
-	Inc int64
-	Msg Msg
-}
 
 // StateReq is the catch-up query a recovering base object broadcasts to
 // its shard siblings (acting as a client — base objects never talk to
@@ -273,37 +289,45 @@ func (rs RegState) Clone() RegState {
 
 // Flow control (overload pushback) messages --------------------------------
 
-// Busy is the pushback frame of the flow-control layer: an overloaded
+// Busy is the pushback notice of the flow-control layer: an overloaded
 // hop — a base object whose bounded request queue is full, or the
 // client-side batch layer at its pending budget — answers a request
-// with Busy{request} instead of queueing it without bound. The echoed
-// request tells the client exactly which op was rejected (it may be a
-// whole Batch). The client mux treats the sender as a transiently slow
-// object: the protocols need only S−t replies per round, so the mux
-// sheds the slow member from subsequent broadcasts and re-drives the
-// rejected op with a delayed hedge instead of blocking. Busy is
-// advisory — losing one costs nothing, because the straggler hedge is
-// timer-driven.
+// with Busy instead of queueing it without bound. The notice names each
+// rejected op by register and trace ID (a bounced Batch rejects every
+// op inside) and nothing else, so bouncing a large write costs a few
+// bytes, not its value. The client mux treats the sender as a
+// transiently slow object: the protocols need only S−t replies per
+// round, so the mux sheds the slow member from subsequent broadcasts
+// and re-drives the rejected op with a delayed hedge instead of
+// blocking. Busy is advisory — losing one costs nothing, because the
+// straggler hedge is timer-driven.
 type Busy struct {
-	Msg Msg
+	Ops []OpRef
+}
+
+// OpRef names one bounced op: its register ("" for a request without a
+// register header) and its trace ID (0 = untraced).
+type OpRef struct {
+	Reg string
+	Op  uint64
+}
+
+// BusyFor builds the notice that bounces req: one OpRef per protocol op
+// it carries (the ops of a Batch, else req itself).
+func BusyFor(req Msg) Busy {
+	ops := []Msg{req}
+	if batch, ok := req.(Batch); ok {
+		ops = batch.Ops
+	}
+	refs := make([]OpRef, len(ops))
+	for i, op := range ops {
+		ro, _ := op.(RegOp)
+		refs[i] = OpRef{Reg: ro.Reg, Op: ro.Op}
+	}
+	return Busy{Ops: refs}
 }
 
 // Membership (reconfiguration) messages -----------------------------------
-
-// ConfigEpoch wraps a request or reply with the sender's configuration
-// epoch — the monotonically increasing version of the shard's member
-// list (which logical object slot lives at which transport address).
-// It composes with the incarnation envelope: a recovery- and
-// membership-enabled reply travels as ConfigEpoch{Epoch{RegOp{...}}}.
-// Base objects reject requests from stale configurations with a
-// ConfigUpdate redirect instead of serving them, so a lagging client
-// self-heals in one extra round-trip; clients use the member list (not
-// the stamped epoch) to decide which replies may count toward quorums —
-// a reply from an address evicted by reconfiguration never does.
-type ConfigEpoch struct {
-	Epoch int64
-	Msg   Msg
-}
 
 // ConfigUpdate is the redirect frame of the reconfiguration protocol: a
 // member of configuration Epoch answers a request stamped with an older
@@ -365,74 +389,10 @@ func (SubscribeReq) isMsg()     {}
 func (PushState) isMsg()        {}
 func (RegOp) isMsg()            {}
 func (Batch) isMsg()            {}
-func (Epoch) isMsg()            {}
 func (StateReq) isMsg()         {}
 func (StateResp) isMsg()        {}
-func (ConfigEpoch) isMsg()      {}
 func (ConfigUpdate) isMsg()     {}
 func (Busy) isMsg()             {}
-
-// registerAll makes every payload type known to gob, once, at package
-// load. gob.Register is idempotent for identical concrete types, and the
-// set of messages is closed, so doing this in an init-style var block is
-// safe and keeps callers free of registration boilerplate.
-var _ = func() struct{} {
-	for _, m := range []interface{}{
-		PWReq{}, PWAck{}, WReq{}, WAck{},
-		ReadReq{}, ReadAck{}, ReadAckHist{},
-		BaselineWriteReq{}, BaselineWriteAck{}, BaselineReadReq{}, BaselineReadAck{}, PairsReadAck{},
-		SubscribeReq{}, PushState{},
-		RegOp{}, Batch{},
-		Epoch{}, StateReq{}, StateResp{},
-		ConfigEpoch{}, ConfigUpdate{},
-		Busy{},
-	} {
-		gob.Register(m)
-	}
-	return struct{}{}
-}()
-
-// Encode serializes a message with gob (used by the TCP transport and by
-// size accounting).
-func Encode(m Msg) ([]byte, error) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	wrapped := envelope{Payload: m}
-	if err := enc.Encode(&wrapped); err != nil {
-		return nil, fmt.Errorf("wire: encode %T: %w", m, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode deserializes a message previously produced by Encode.
-func Decode(data []byte) (Msg, error) {
-	var wrapped envelope
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	if err := dec.Decode(&wrapped); err != nil {
-		return nil, fmt.Errorf("wire: decode: %w", err)
-	}
-	m, ok := wrapped.Payload.(Msg)
-	if !ok {
-		return nil, fmt.Errorf("wire: decoded %T is not a protocol message", wrapped.Payload)
-	}
-	return m, nil
-}
-
-// envelope lets gob carry the interface value with its concrete type.
-type envelope struct {
-	Payload interface{}
-}
-
-// EncodedSize returns the gob-encoded size of a message in bytes; the E7
-// and E8 experiments use it to account message volume. It returns 0 for
-// messages that fail to encode (never the case for well-formed payloads).
-func EncodedSize(m Msg) int {
-	data, err := Encode(m)
-	if err != nil {
-		return 0
-	}
-	return len(data)
-}
 
 // Clone deep-copies a message so transports can hand independent copies
 // to receivers. Byzantine handlers receive clones and cannot mutate
@@ -472,15 +432,14 @@ func Clone(m Msg) Msg {
 	case PushState:
 		return PushState{ObjectID: v.ObjectID, Seq: v.Seq, TS: v.TS, Val: v.Val.Clone(), Echo: v.Echo}
 	case RegOp:
-		return RegOp{Reg: v.Reg, Op: v.Op, Msg: Clone(v.Msg)}
+		v.Msg = Clone(v.Msg) // the header fields are plain values
+		return v
 	case Batch:
 		ops := make([]Msg, len(v.Ops))
 		for i, op := range v.Ops {
 			ops[i] = Clone(op)
 		}
 		return Batch{Ops: ops}
-	case Epoch:
-		return Epoch{Inc: v.Inc, Msg: Clone(v.Msg)}
 	case StateReq:
 		return v
 	case StateResp:
@@ -489,12 +448,10 @@ func Clone(m Msg) Msg {
 			regs[i] = rs.Clone()
 		}
 		return StateResp{ObjectID: v.ObjectID, Seq: v.Seq, Incarnation: v.Incarnation, Regs: regs}
-	case ConfigEpoch:
-		return ConfigEpoch{Epoch: v.Epoch, Msg: Clone(v.Msg)}
 	case ConfigUpdate:
 		return v.Clone()
 	case Busy:
-		return Busy{Msg: Clone(v.Msg)}
+		return Busy{Ops: append([]OpRef(nil), v.Ops...)}
 	default:
 		// Unknown payloads only arise from test doubles; pass through.
 		return m

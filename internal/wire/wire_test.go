@@ -33,16 +33,16 @@ func sampleMsgs() []Msg {
 		SubscribeReq{Reader: 0, Seq: 11},
 		PushState{ObjectID: 2, Seq: 11, TS: 7, Val: types.Value("p"), Echo: true},
 		RegOp{Reg: "users/42", Op: 91, Msg: WAck{ObjectID: 1, TS: 7}},
+		RegOp{Reg: "users/42", Op: 93, Inc: StampOf(3), Msg: WAck{ObjectID: 1, TS: 7}},
 		Batch{Ops: []Msg{
 			RegOp{Reg: "a", Op: 92, Msg: PWReq{TS: 7, PW: w.TSVal, W: w}},
 			RegOp{Reg: "b", Msg: ReadReq{Round: Round1, Reader: 1, TSR: 9}},
 			WAck{ObjectID: 1, TS: 7},
 		}},
-		Epoch{Inc: 3, Msg: RegOp{Reg: "users/42", Op: 93, Msg: WAck{ObjectID: 1, TS: 7}}},
-		Busy{Msg: Batch{Ops: []Msg{
-			RegOp{Reg: "a", Op: 94, Msg: PWReq{TS: 7, PW: w.TSVal, W: w}},
+		BusyFor(Batch{Ops: []Msg{
+			RegOp{Reg: "a", Op: 94, Cfg: StampOf(0), Msg: PWReq{TS: 7, PW: w.TSVal, W: w}},
 			RegOp{Reg: "b", Msg: ReadReq{Round: Round1, Reader: 1, TSR: 9}},
-		}}},
+		}}),
 		StateReq{Seq: 12, Requester: 2},
 		StateResp{ObjectID: 3, Seq: 12, Incarnation: 2, Regs: []RegState{
 			{Reg: "users/42", TS: 7, History: h, TSR: types.TSRVector{1, 0}},
@@ -51,67 +51,23 @@ func sampleMsgs() []Msg {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+func TestCompactSizePositive(t *testing.T) {
 	for _, m := range sampleMsgs() {
-		data, err := Encode(m)
-		if err != nil {
-			t.Fatalf("encode %T: %v", m, err)
-		}
-		back, err := Decode(data)
-		if err != nil {
-			t.Fatalf("decode %T: %v", m, err)
-		}
-		if reflect.TypeOf(back) != reflect.TypeOf(m) {
-			t.Fatalf("round-trip changed type: %T → %T", m, back)
+		if CompactSize(m) <= 0 {
+			t.Errorf("CompactSize(%T) must be positive", m)
 		}
 	}
 }
 
-func TestRoundTripPreservesPayloads(t *testing.T) {
-	orig := sampleMsgs()[5].(ReadAck)
-	data, err := Encode(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := back.(ReadAck)
-	if got.ObjectID != orig.ObjectID || got.Round != orig.Round || got.TSR != orig.TSR {
-		t.Errorf("scalar fields changed: %+v vs %+v", got, orig)
-	}
-	if !got.PW.Equal(orig.PW) || !got.W.Equal(orig.W) {
-		t.Errorf("payload fields changed: %+v vs %+v", got, orig)
-	}
-}
-
-func TestDecodeGarbage(t *testing.T) {
-	if _, err := Decode([]byte("not gob")); err == nil {
-		t.Error("garbage must not decode")
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Error("empty input must not decode")
-	}
-}
-
-func TestEncodedSizePositive(t *testing.T) {
-	for _, m := range sampleMsgs() {
-		if EncodedSize(m) <= 0 {
-			t.Errorf("EncodedSize(%T) must be positive", m)
-		}
-	}
-}
-
-func TestEncodedSizeGrowsWithHistory(t *testing.T) {
+func TestCompactSizeGrowsWithHistory(t *testing.T) {
 	small := types.NewHistory()
 	big := types.NewHistory()
 	for ts := types.TS(1); ts <= 50; ts++ {
 		w := types.WTuple{TSVal: types.TSVal{TS: ts, Val: types.Value("12345678")}, TSR: types.NewTSRMatrix()}
 		big[ts] = types.HistEntry{PW: w.TSVal, W: &w}
 	}
-	a := EncodedSize(ReadAckHist{History: small})
-	b := EncodedSize(ReadAckHist{History: big})
+	a := CompactSize(ReadAckHist{History: small})
+	b := CompactSize(ReadAckHist{History: big})
 	if b <= a {
 		t.Errorf("50-entry history (%dB) must encode larger than initial (%dB)", b, a)
 	}
@@ -154,11 +110,11 @@ func TestQuickBaselineRoundTrip(t *testing.T) {
 			Val:      append(types.Value(nil), val...),
 			Sig:      append([]byte(nil), sig...),
 		}
-		data, err := Encode(m)
+		data, err := EncodeCompact(m)
 		if err != nil {
 			return false
 		}
-		back, err := Decode(data)
+		back, err := DecodeCompact(data)
 		if err != nil {
 			return false
 		}
@@ -182,11 +138,11 @@ func TestQuickReadReqRoundTrip(t *testing.T) {
 			TSR:     types.ReaderTS(rng.Int63n(1 << 40)),
 			CacheTS: types.TS(rng.Int63n(1 << 40)),
 		}
-		data, err := Encode(m)
+		data, err := EncodeCompact(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := Decode(data)
+		back, err := DecodeCompact(data)
 		if err != nil {
 			t.Fatal(err)
 		}

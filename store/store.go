@@ -78,7 +78,7 @@ type FaultNet = fault.Net
 // stack is bounded (object request queues in total and per sender,
 // batch pending budgets, fault-layer delay queues — and reply
 // mailboxes by that admission), overloaded hops push back with a
-// wire.Busy echo instead of queueing, and the client treats
+// wire.Busy notice instead of queueing, and the client treats
 // pushed-back members as transiently slow: it sheds up to t of them
 // per round (the quorum needs only S−t replies) and hedges the
 // stragglers with delayed re-sends instead of blocking.
