@@ -63,45 +63,64 @@ func (g *conflictGraph) addEdge(a, b types.ObjectID) {
 // hasConflictFreeSubset reports whether responders contains a subset of
 // at least want objects that is pairwise conflict-free.
 func (g *conflictGraph) hasConflictFreeSubset(responders []types.ObjectID, want int) bool {
+	eligible, edges := g.induced(responders)
+	return len(eligible) >= want && coverWithin(edges, make(map[types.ObjectID]bool), len(eligible)-want)
+}
+
+// conflictFreeSubset returns a concrete pairwise conflict-free subset of
+// responders of size ≥ want, or nil if none exists. Used by tests and by
+// diagnostics; the protocol itself only needs existence.
+func (g *conflictGraph) conflictFreeSubset(responders []types.ObjectID, want int) []types.ObjectID {
+	eligible, edges := g.induced(responders)
+	removed := make(map[types.ObjectID]bool)
+	if len(eligible) < want || !coverWithin(edges, removed, len(eligible)-want) {
+		return nil
+	}
+	sort.Slice(eligible, func(a, b int) bool { return eligible[a] < eligible[b] })
+	var out []types.ObjectID
+	for _, id := range eligible {
+		if !removed[id] {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// induced returns the responders that can sit in a conflict-free subset
+// (no self-accusers) and the conflict edges among them, sorted so the
+// search is deterministic.
+func (g *conflictGraph) induced(responders []types.ObjectID) ([]types.ObjectID, [][2]types.ObjectID) {
 	eligible := make([]types.ObjectID, 0, len(responders))
+	inSet := make(map[types.ObjectID]bool, len(responders))
 	for _, id := range responders {
 		if !g.selfAccusers[id] {
 			eligible = append(eligible, id)
+			inSet[id] = true
 		}
 	}
-	if len(eligible) < want {
-		return false
-	}
-	budget := len(eligible) - want
-	inSet := make(map[types.ObjectID]bool, len(eligible))
-	for _, id := range eligible {
-		inSet[id] = true
-	}
-	// Collect the edges induced by the eligible responders.
-	var edgeList [][2]types.ObjectID
+	var edges [][2]types.ObjectID
 	for a, nbrs := range g.edges {
 		if !inSet[a] {
 			continue
 		}
 		for b := range nbrs {
 			if inSet[b] && a < b {
-				edgeList = append(edgeList, [2]types.ObjectID{a, b})
+				edges = append(edges, [2]types.ObjectID{a, b})
 			}
 		}
 	}
-	sort.Slice(edgeList, func(x, y int) bool {
-		if edgeList[x][0] != edgeList[y][0] {
-			return edgeList[x][0] < edgeList[y][0]
+	sort.Slice(edges, func(x, y int) bool {
+		if edges[x][0] != edges[y][0] {
+			return edges[x][0] < edges[y][0]
 		}
-		return edgeList[x][1] < edgeList[y][1]
+		return edges[x][1] < edges[y][1]
 	})
-	removed := make(map[types.ObjectID]bool)
-	return coverWithin(edgeList, removed, budget)
+	return eligible, edges
 }
 
 // coverWithin decides whether the edges not yet covered by removed can
 // be covered by deleting at most budget more vertices: the classic
-// 2-way branching for k-vertex-cover.
+// 2-way branching for k-vertex-cover. On success removed holds a cover.
 func coverWithin(edges [][2]types.ObjectID, removed map[types.ObjectID]bool, budget int) bool {
 	// Find the first uncovered edge.
 	var pick [2]types.ObjectID
@@ -122,76 +141,6 @@ func coverWithin(edges [][2]types.ObjectID, removed map[types.ObjectID]bool, bud
 	for _, v := range pick {
 		removed[v] = true
 		if coverWithin(edges, removed, budget-1) {
-			delete(removed, v)
-			return true
-		}
-		delete(removed, v)
-	}
-	return false
-}
-
-// conflictFreeSubset returns a concrete pairwise conflict-free subset of
-// responders of size ≥ want, or nil if none exists. Used by tests and by
-// diagnostics; the protocol itself only needs existence.
-func (g *conflictGraph) conflictFreeSubset(responders []types.ObjectID, want int) []types.ObjectID {
-	eligible := make([]types.ObjectID, 0, len(responders))
-	for _, id := range responders {
-		if !g.selfAccusers[id] {
-			eligible = append(eligible, id)
-		}
-	}
-	sort.Slice(eligible, func(a, b int) bool { return eligible[a] < eligible[b] })
-	if len(eligible) < want {
-		return nil
-	}
-	var edgeList [][2]types.ObjectID
-	inSet := make(map[types.ObjectID]bool, len(eligible))
-	for _, id := range eligible {
-		inSet[id] = true
-	}
-	for a, nbrs := range g.edges {
-		if !inSet[a] {
-			continue
-		}
-		for b := range nbrs {
-			if inSet[b] && a < b {
-				edgeList = append(edgeList, [2]types.ObjectID{a, b})
-			}
-		}
-	}
-	removed := make(map[types.ObjectID]bool)
-	if !coverFind(edgeList, removed, len(eligible)-want) {
-		return nil
-	}
-	var out []types.ObjectID
-	for _, id := range eligible {
-		if !removed[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// coverFind is coverWithin but leaves the successful cover in removed.
-func coverFind(edges [][2]types.ObjectID, removed map[types.ObjectID]bool, budget int) bool {
-	var pick [2]types.ObjectID
-	found := false
-	for _, e := range edges {
-		if !removed[e[0]] && !removed[e[1]] {
-			pick = e
-			found = true
-			break
-		}
-	}
-	if !found {
-		return true
-	}
-	if budget == 0 {
-		return false
-	}
-	for _, v := range pick {
-		removed[v] = true
-		if coverFind(edges, removed, budget-1) {
 			return true
 		}
 		delete(removed, v)

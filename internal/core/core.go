@@ -17,14 +17,32 @@
 //
 // Clients are written against transport.Conn and run unchanged over the
 // concurrent in-memory network, the deterministic simulator, and TCP.
+//
+// Every client operation — a WRITE, a pipelined WRITE's PW phase, a
+// Flush, a safe or regular READ — is an automaton that owns no loop:
+// start returns its round-1 broadcast and step absorbs one delivered
+// message, returning the next round's broadcast and whether the
+// operation is complete. One driver (client.drive) owns the only
+// Recv, sends every broadcast, and keeps the OpStats and Tracer
+// bookkeeping, so a scheduler other than a transport can step the same
+// automata.
+//
+// The driver sends each round as one ascending sweep over objects
+// 0..S−1 carrying one message value. The store's client mux depends on
+// this: it starts a new hedging/shedding round whenever a destination
+// index does not exceed the previous one (TestBroadcastOrder pins it).
 package core
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/quorum"
+	"repro/internal/transport"
 	"repro/internal/types"
+	"repro/internal/wire"
 )
 
 // ErrBadConfig reports an invalid storage configuration.
@@ -76,19 +94,127 @@ func NewParams(cfg quorum.Config) (Params, error) {
 	return Params{Cfg: cfg}, nil
 }
 
-// objectIDs returns all base-object indices 0..S-1.
-func (p Params) objectIDs() []types.ObjectID {
-	out := make([]types.ObjectID, p.Cfg.S)
-	for i := range out {
-		out[i] = types.ObjectID(i)
-	}
-	return out
+// fromObject reports whether m was delivered by the base object its
+// payload claims as sender, and that object is one of 0..S−1: channels
+// are authenticated point-to-point links in the model.
+func fromObject(m transport.Message, id types.ObjectID, s int) bool {
+	return m.From.Kind == transport.KindObject && types.ObjectID(m.From.Index) == id && int(id) >= 0 && int(id) < s
 }
 
-// validObject reports whether an acknowledgement's claimed object index
-// is within range; clients additionally require the claimed index to
-// match the transport-level sender, since channels are authenticated
-// point-to-point links in the model.
-func (p Params) validObject(id types.ObjectID) bool {
-	return int(id) >= 0 && int(id) < p.Cfg.S
+// client is what every core client shares: its configuration, its
+// endpoint, the complexity record of its last operation, and its
+// tracer.
+type client struct {
+	params Params
+	conn   transport.Conn
+	stats  OpStats
+	trace  Tracer
+}
+
+func newClient(cfg quorum.Config, conn transport.Conn) (client, error) {
+	p, err := NewParams(cfg)
+	if err != nil {
+		return client{}, err
+	}
+	return client{params: p, conn: conn, trace: nopTracer{}}, nil
+}
+
+// LastStats returns the complexity record of the last completed
+// operation.
+func (c *client) LastStats() OpStats { return c.stats }
+
+// SetTracer installs a tracer (nil restores the no-op).
+func (c *client) SetTracer(t Tracer) {
+	if t == nil {
+		t = nopTracer{}
+	}
+	c.trace = t
+}
+
+// automaton is one client operation as a state machine that owns no
+// loop: start returns the round-1 broadcast (nil for none), and step
+// absorbs one delivered message, returning the next round's broadcast
+// (nil for none) and whether the operation is complete once that
+// broadcast is sent. Automata embed the op record through which they
+// report accepted acknowledgements and protocol events.
+type automaton interface {
+	record() *op
+	start() wire.Msg
+	step(m transport.Message) (next wire.Msg, done bool)
+}
+
+// op is the bookkeeping of one running operation.
+type op struct {
+	st      OpStats
+	trace   Tracer
+	round   int      // rounds broadcast so far
+	ts      types.TS // the decided timestamp, set by the automaton
+	unacked bool     // the broadcast about to be sent is not awaited (a pipelined W)
+}
+
+func (o *op) record() *op { return o }
+
+// ack counts an accepted acknowledgement of round and traces it.
+func (o *op) ack(round int, from types.ObjectID) {
+	o.st.Acks++
+	o.trace.AckAccepted(o.st.Kind, round, from)
+}
+
+// run performs one traced, counted operation and records its stats.
+func (c *client) run(ctx context.Context, kind OpKind, a automaton) error {
+	begin := time.Now()
+	o := a.record()
+	o.st, o.trace = OpStats{Kind: kind}, c.trace
+	c.trace.OpStart(kind)
+	if err := c.drive(ctx, a); err != nil {
+		return fmt.Errorf("core: %s round %d: %w", kind, o.round, err)
+	}
+	// Only the fast path decides a READ after its first round.
+	if kind == OpRead && o.round == 1 {
+		o.st.FastPath = true
+		c.trace.Ext(OpRead, EvFastRead, 0, 0, 0)
+	}
+	o.st.Duration = time.Since(begin)
+	c.stats = o.st
+	c.trace.Decided(kind, o.ts)
+	return nil
+}
+
+// drive runs a to completion and is the package's only receive loop.
+func (c *client) drive(ctx context.Context, a automaton) error {
+	o := a.record()
+	next, done := a.start(), false
+	for {
+		if next != nil {
+			c.broadcast(o, next)
+		}
+		if done {
+			return nil
+		}
+		m, err := c.conn.Recv(ctx)
+		if err != nil {
+			return err
+		}
+		next, done = a.step(m)
+	}
+}
+
+// broadcast sends m to objects 0..S−1 in ascending order. The store
+// mux relies on that order: a send whose destination index does not
+// exceed the previous one starts a new round of its hedging and
+// shedding.
+func (c *client) broadcast(o *op, m wire.Msg) {
+	o.round++
+	o.trace.RoundStart(o.st.Kind, o.round)
+	// A read-repair hint is traced inside the round that carries it.
+	if req, ok := m.(wire.ReadReq); ok && req.Repair != nil {
+		o.trace.Ext(OpRead, EvRepair, 0, 0, req.Repair.TSVal.TS)
+	}
+	for i := 0; i < c.params.Cfg.S; i++ {
+		c.conn.Send(transport.Object(types.ObjectID(i)), m)
+	}
+	o.st.Sent += c.params.Cfg.S
+	if !o.unacked {
+		o.st.Rounds++
+	}
 }

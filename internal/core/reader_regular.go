@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
-	"time"
+	"sync"
 
 	"repro/internal/quorum"
 	"repro/internal/transport"
@@ -23,16 +22,9 @@ import (
 //
 // RegularReader is not safe for concurrent use.
 type RegularReader struct {
-	params Params
-	conn   transport.Conn
-	id     types.ReaderID
-
-	tsr       types.ReaderTS
+	reader
 	optimized bool
-	fastPath  bool
 	cache     types.TSVal // last returned pair (⟨0,⊥⟩ initially)
-	stats     OpStats
-	trace     Tracer
 }
 
 // NewRegularReader returns the regular reader client with identity id.
@@ -41,142 +33,45 @@ type RegularReader struct {
 // candidate set is empty after a full second round the cached value is
 // returned.
 func NewRegularReader(cfg quorum.Config, conn transport.Conn, id types.ReaderID, optimized bool) (*RegularReader, error) {
-	p, err := NewParams(cfg)
+	r, err := newReader(cfg, conn, id)
 	if err != nil {
 		return nil, err
 	}
-	if int(id) < 0 || int(id) >= cfg.R {
-		return nil, fmt.Errorf("%w: reader id %d out of range [0,%d)", ErrBadConfig, id, cfg.R)
-	}
-	return &RegularReader{params: p, conn: conn, id: id, optimized: optimized, cache: types.InitTSVal(), trace: nopTracer{}}, nil
+	rr := &RegularReader{reader: r, optimized: optimized, cache: types.InitTSVal()}
+	rr.settle = rr.settleCache
+	return rr, nil
 }
-
-// LastStats returns the complexity record of the last completed READ.
-func (r *RegularReader) LastStats() OpStats { return r.stats }
 
 // Cache returns the reader's cached pair (§5.1).
 func (r *RegularReader) Cache() types.TSVal { return r.cache.Clone() }
 
-// SetFastPath enables the contention-free single-round fast path and,
-// on the slow path, round-2 read repair. Off by default (the classic
-// Fig. 6 two-round protocol). See regularReadState.fastDecide for the
-// decision predicate and its safety argument.
-func (r *RegularReader) SetFastPath(on bool) { r.fastPath = on }
-
 // Read performs one READ and returns the selected timestamp-value pair.
 func (r *RegularReader) Read(ctx context.Context) (types.TSVal, error) {
-	start := time.Now()
-	st := OpStats{Kind: OpRead}
-	state := newRegularReadState(r.params.Cfg, r.id)
-	state.fast = r.fastPath
-
 	cacheTS := types.TS(0)
 	if r.optimized {
 		cacheTS = r.cache.TS
 	}
-	state.cacheTS = cacheTS
-	r.trace.OpStart(OpRead)
-
-	// Round 1.
-	r.tsr++
-	r.trace.RoundStart(OpRead, 1)
-	state.tsrFR = r.tsr
-	req1 := wire.ReadReq{Round: wire.Round1, Reader: r.id, TSR: state.tsrFR, CacheTS: cacheTS}
-	for _, id := range r.params.objectIDs() {
-		r.conn.Send(transport.Object(id), req1)
-		st.Sent++
-	}
-	st.Rounds++
-
-	for !state.round1Done() {
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("core: regular READ round 1 (reader %d): %w", r.id, err)
-		}
-		if state.absorb(msg) {
-			st.Acks++
-			r.traceAck(msg)
-		}
-	}
-
-	// Fast path: with all S−t round-1 histories byte-identical and a
-	// complete, conflict-free top entry, decide now and skip round 2
-	// (predicate argued at fastDecide).
-	if r.fastPath {
-		if ret, ok := state.fastDecide(); ok {
-			traceExt(r.trace, OpRead, EvFastRead, "")
-			st.FastPath = true
-			if ret.TS > r.cache.TS {
-				r.cache = ret.Clone()
-			} else if r.optimized {
-				ret = r.cache.Clone()
-			}
-			st.Duration = time.Since(start)
-			r.stats = st
-			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
-		}
-	}
-
-	// Round 2. On the slow path, piggyback the dominant b+1-vouched
-	// tuple (if round 1 revealed divergence) so lagging replicas
-	// converge: read repair.
-	r.tsr++
-	r.trace.RoundStart(OpRead, 2)
-	state.tsrSR = r.tsr
-	var repair *types.WTuple
-	if r.fastPath {
-		if hint, ok := state.repairHint(); ok {
-			repair = &hint
-			traceExt(r.trace, OpRead, EvRepair, fmt.Sprintf("ts=%d", hint.TSVal.TS))
-		}
-	}
-	req2 := wire.ReadReq{Round: wire.Round2, Reader: r.id, TSR: state.tsrSR, CacheTS: cacheTS, Repair: repair}
-	for _, id := range r.params.objectIDs() {
-		r.conn.Send(transport.Object(id), req2)
-		st.Sent++
-	}
-	st.Rounds++
-
-	for {
-		if ret, done := state.decide(r.optimized); done {
-			if ret.TS > r.cache.TS {
-				r.cache = ret.Clone()
-			} else if r.optimized {
-				// An empty candidate set under §5.1 returns the cache.
-				ret = r.cache.Clone()
-			}
-			st.Duration = time.Since(start)
-			r.stats = st
-			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
-		}
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("core: regular READ round 2 (reader %d): %w", r.id, err)
-		}
-		if state.absorb(msg) {
-			st.Acks++
-			r.traceAck(msg)
-		}
-	}
+	s := regularStates.Get().(*regularReadState)
+	s.optimized = r.optimized
+	return r.read(ctx, s, cacheTS)
 }
 
-// traceAck reports an absorbed acknowledgement to the tracer.
-func (r *RegularReader) traceAck(msg transport.Message) {
-	if ack, ok := msg.Payload.(wire.ReadAckHist); ok {
-		r.trace.AckAccepted(OpRead, int(ack.Round), ack.ObjectID)
+// settleCache keeps the cache at the highest pair returned. Under §5.1 a
+// decision at or below the cache, including the empty-candidate-set
+// marker ⟨0,⊥⟩, returns the cache instead.
+func (r *RegularReader) settleCache(ret types.TSVal) types.TSVal {
+	if ret.TS > r.cache.TS {
+		r.cache = ret.Clone()
+	} else if r.optimized {
+		ret = r.cache.Clone()
 	}
+	return ret
 }
 
 // regularReadState carries the per-READ bookkeeping of Fig. 6.
 type regularReadState struct {
-	cfg     quorum.Config
-	j       types.ReaderID
-	cacheTS types.TS
-
-	tsrFR types.ReaderTS
-	tsrSR types.ReaderTS
+	readBase
+	optimized bool // §5.1: an empty candidate set after a round-2 quorum decides
 
 	// lastTSR implements the Fig. 6 line 18/23 guard: accept an object's
 	// ack only with a strictly higher echoed control timestamp.
@@ -189,13 +84,11 @@ type regularReadState struct {
 	// non-nil w entries, keyed canonically.
 	candidates map[string]types.WTuple
 
-	respFirst objSet
-	resp2     objSet
+	resp2 objSet
 
 	// Fast-path bookkeeping (populated only with fast set): the
 	// canonical key of the first round-1 history, the history itself,
 	// and whether every later round-1 reply matched byte-for-byte.
-	fast        bool
 	r1Seen      bool
 	r1Key       string
 	r1Hist      types.History
@@ -204,15 +97,13 @@ type regularReadState struct {
 
 func newRegularReadState(cfg quorum.Config, j types.ReaderID) *regularReadState {
 	return &regularReadState{
-		cfg:     cfg,
-		j:       j,
-		lastTSR: make(map[types.ObjectID]types.ReaderTS),
+		readBase: newReadBase(cfg, j),
+		lastTSR:  make(map[types.ObjectID]types.ReaderTS),
 		hist: map[wire.Round]map[types.ObjectID]types.History{
 			wire.Round1: make(map[types.ObjectID]types.History),
 			wire.Round2: make(map[types.ObjectID]types.History),
 		},
 		candidates:  make(map[string]types.WTuple),
-		respFirst:   make(objSet),
 		resp2:       make(objSet),
 		r1Unanimous: true,
 	}
@@ -246,23 +137,22 @@ func historyKey(h types.History) string {
 	return buf.String()
 }
 
-// absorb processes one delivered message; true when it was a fresh,
-// well-formed acknowledgement of this READ.
+var regularStates = sync.Pool{New: func() any { return newRegularReadState(quorum.Config{}, 0) }}
+
+func (s *regularReadState) release() {
+	s.readBase.reset()
+	clear(s.lastTSR)
+	clear(s.hist[wire.Round1])
+	clear(s.hist[wire.Round2])
+	clear(s.candidates)
+	clear(s.resp2)
+	s.r1Seen, s.r1Key, s.r1Hist, s.r1Unanimous = false, "", nil, true
+	regularStates.Put(s)
+}
+
 func (s *regularReadState) absorb(msg transport.Message) bool {
 	ack, ok := msg.Payload.(wire.ReadAckHist)
-	if !ok {
-		return false
-	}
-	if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-		return false
-	}
-	if int(ack.ObjectID) < 0 || int(ack.ObjectID) >= s.cfg.S {
-		return false
-	}
-	switch {
-	case ack.Round == wire.Round1 && ack.TSR == s.tsrFR:
-	case ack.Round == wire.Round2 && s.tsrSR != 0 && ack.TSR == s.tsrSR:
-	default:
+	if !ok || !s.fresh(msg, ack.ObjectID, ack.Round, ack.TSR) {
 		return false
 	}
 	if ack.TSR <= s.lastTSR[ack.ObjectID] {
@@ -462,24 +352,16 @@ func (s *regularReadState) buildConflictGraph(active []string) *conflictGraph {
 
 // round1Done evaluates the Fig. 6 line 11 condition.
 func (s *regularReadState) round1Done() bool {
-	if len(s.respFirst) < s.cfg.RoundQuorum() {
-		return false
-	}
-	responders := make([]types.ObjectID, 0, len(s.respFirst))
-	for id := range s.respFirst {
-		responders = append(responders, id)
-	}
-	g := s.buildConflictGraph(s.activeCandidates())
-	return g.hasConflictFreeSubset(responders, s.cfg.RoundQuorum())
+	return s.conflictFreeQuorum(func() *conflictGraph { return s.buildConflictGraph(s.activeCandidates()) })
 }
 
 // decide evaluates the Fig. 6 line 14 condition: some highest active
 // candidate is safe. Under §5.1, an empty candidate set after a full
-// round-2 quorum also terminates (the caller substitutes the cache).
-func (s *regularReadState) decide(optimized bool) (types.TSVal, bool) {
+// round-2 quorum also terminates (the reader substitutes the cache).
+func (s *regularReadState) decide() (types.TSVal, bool) {
 	active := s.activeCandidates()
 	if len(active) == 0 {
-		if optimized && len(s.resp2) >= s.cfg.RoundQuorum() {
+		if s.optimized && len(s.resp2) >= s.cfg.RoundQuorum() {
 			return types.InitTSVal(), true
 		}
 		return types.TSVal{}, false

@@ -4,8 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
-	"time"
+	"sync"
 
 	"repro/internal/quorum"
 	"repro/internal/transport"
@@ -25,128 +24,21 @@ import (
 //
 // SafeReader is not safe for concurrent use; each reader process invokes
 // one READ at a time (its identity is baked into the tsr[j] fields).
-type SafeReader struct {
-	params Params
-	conn   transport.Conn
-	id     types.ReaderID
-
-	tsr      types.ReaderTS // tsr′_j, persists across READs
-	fastPath bool
-	stats    OpStats
-	trace    Tracer
-}
+type SafeReader struct{ reader }
 
 // NewSafeReader returns the reader client with identity id.
 func NewSafeReader(cfg quorum.Config, conn transport.Conn, id types.ReaderID) (*SafeReader, error) {
-	p, err := NewParams(cfg)
+	r, err := newReader(cfg, conn, id)
 	if err != nil {
 		return nil, err
 	}
-	if int(id) < 0 || int(id) >= cfg.R {
-		return nil, fmt.Errorf("%w: reader id %d out of range [0,%d)", ErrBadConfig, id, cfg.R)
-	}
-	return &SafeReader{params: p, conn: conn, id: id, trace: nopTracer{}}, nil
+	return &SafeReader{r}, nil
 }
-
-// LastStats returns the complexity record of the last completed READ.
-func (r *SafeReader) LastStats() OpStats { return r.stats }
-
-// SetFastPath enables the contention-free single-round fast path and,
-// on the slow path, round-2 read repair. Off by default (the classic
-// Fig. 4 two-round protocol). See safeReadState.fastDecide for the
-// decision predicate and its quorum-intersection safety argument.
-func (r *SafeReader) SetFastPath(on bool) { r.fastPath = on }
 
 // Read performs one READ and returns the timestamp-value pair it
 // selected (⟨0,⊥⟩ when the candidate set emptied under concurrency).
 func (r *SafeReader) Read(ctx context.Context) (types.TSVal, error) {
-	start := time.Now()
-	st := OpStats{Kind: OpRead}
-	state := newSafeReadState(r.params.Cfg, r.id)
-	r.trace.OpStart(OpRead)
-
-	// Round 1: tsrFR := ++tsr′_j; send READ1⟨tsr′_j⟩ to all objects.
-	r.tsr++
-	r.trace.RoundStart(OpRead, 1)
-	state.tsrFR = r.tsr
-	req1 := wire.ReadReq{Round: wire.Round1, Reader: r.id, TSR: state.tsrFR}
-	for _, id := range r.params.objectIDs() {
-		r.conn.Send(transport.Object(id), req1)
-		st.Sent++
-	}
-	st.Rounds++
-
-	// Wait for READ1_ACKs until a conflict-free subset of ≥ S−t
-	// responders exists.
-	for !state.round1Done() {
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("core: READ round 1 (reader %d): %w", r.id, err)
-		}
-		if state.absorb(msg) {
-			st.Acks++
-			r.traceAck(msg)
-		}
-	}
-
-	// Fast path: with all S−t round-1 replies byte-identical,
-	// timestamp-dominant, and conflict-free, decide now and skip
-	// round 2 entirely (predicate argued at fastDecide).
-	if r.fastPath {
-		if ret, ok := state.fastDecide(); ok {
-			traceExt(r.trace, OpRead, EvFastRead, "")
-			st.FastPath = true
-			st.Duration = time.Since(start)
-			r.stats = st
-			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
-		}
-	}
-
-	// Round 2: inc(tsr′_j); send READ2⟨tsr′_j⟩ to all objects. On the
-	// slow path, piggyback the dominant b+1-vouched tuple (if round 1
-	// revealed divergence) so lagging replicas converge: read repair.
-	r.tsr++
-	r.trace.RoundStart(OpRead, 2)
-	state.tsrSR = r.tsr
-	var repair *types.WTuple
-	if r.fastPath {
-		if hint, ok := state.repairHint(); ok {
-			repair = &hint
-			traceExt(r.trace, OpRead, EvRepair, fmt.Sprintf("ts=%d", hint.TSVal.TS))
-		}
-	}
-	req2 := wire.ReadReq{Round: wire.Round2, Reader: r.id, TSR: state.tsrSR, Repair: repair}
-	for _, id := range r.params.objectIDs() {
-		r.conn.Send(transport.Object(id), req2)
-		st.Sent++
-	}
-	st.Rounds++
-
-	// Wait until ∃c ∈ C: (safe(c) ∧ highCand(c)) ∨ C = ∅.
-	for {
-		if ret, done := state.decide(); done {
-			st.Duration = time.Since(start)
-			r.stats = st
-			r.trace.Decided(OpRead, ret.TS)
-			return ret, nil
-		}
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("core: READ round 2 (reader %d): %w", r.id, err)
-		}
-		if state.absorb(msg) {
-			st.Acks++
-			r.traceAck(msg)
-		}
-	}
-}
-
-// traceAck reports an absorbed acknowledgement to the tracer.
-func (r *SafeReader) traceAck(msg transport.Message) {
-	if ack, ok := msg.Payload.(wire.ReadAck); ok {
-		r.trace.AckAccepted(OpRead, int(ack.Round), ack.ObjectID)
-	}
+	return r.read(ctx, safeStates.Get().(*safeReadState), 0)
 }
 
 // tsvalKey canonically encodes a timestamp-value pair for map keys.
@@ -173,11 +65,7 @@ func (s objSet) add(id types.ObjectID) { s[id] = true }
 // candidate set C, the witness sets RW / RPW / FirstRW, the round-1
 // responder set, and the reader's two round timestamps.
 type safeReadState struct {
-	cfg quorum.Config
-	j   types.ReaderID
-
-	tsrFR types.ReaderTS
-	tsrSR types.ReaderTS // 0 until round 2 starts
+	readBase
 
 	// tuples and pairs intern the reported values by canonical key.
 	tuples map[string]types.WTuple
@@ -188,9 +76,8 @@ type safeReadState struct {
 	rw         objSetByKey // RW(c): who reported c in any round
 	rpw        objSetByKey // RPW(p): who reported pair p in any round
 
-	respFirst objSet                  // Resp1
-	seen      map[seenKey]bool        // processed (object, round) acks
-	reported  map[types.ObjectID]objS // per-object reported tuple keys (for RespondedWO)
+	seen     map[seenKey]bool        // processed (object, round) acks
+	reported map[types.ObjectID]objS // per-object reported tuple keys (for RespondedWO)
 
 	// Fast-path bookkeeping: the (w, pw) keys of the first round-1
 	// reply, and whether every later round-1 reply matched both
@@ -221,39 +108,38 @@ type seenKey struct {
 
 func newSafeReadState(cfg quorum.Config, j types.ReaderID) *safeReadState {
 	return &safeReadState{
-		cfg:         cfg,
-		j:           j,
+		readBase:    newReadBase(cfg, j),
 		tuples:      make(map[string]types.WTuple),
 		pairs:       make(map[string]types.TSVal),
 		candidates:  make(objSetByKey),
 		firstRW:     make(objSetByKey),
 		rw:          make(objSetByKey),
 		rpw:         make(objSetByKey),
-		respFirst:   make(objSet),
 		seen:        make(map[seenKey]bool),
 		reported:    make(map[types.ObjectID]objS),
 		r1Unanimous: true,
 	}
 }
 
-// absorb processes one delivered message; it returns true when the
-// message was a fresh, well-formed acknowledgement of this READ.
+var safeStates = sync.Pool{New: func() any { return newSafeReadState(quorum.Config{}, 0) }}
+
+func (s *safeReadState) release() {
+	s.readBase.reset()
+	for _, m := range [...]objSetByKey{s.candidates, s.firstRW, s.rw, s.rpw} {
+		clear(m)
+	}
+	clear(s.tuples)
+	clear(s.pairs)
+	clear(s.seen)
+	clear(s.reported)
+	s.r1Seen, s.r1WK, s.r1PK, s.r1Unanimous = false, "", "", true
+	safeStates.Put(s)
+}
+
 func (s *safeReadState) absorb(msg transport.Message) bool {
 	ack, ok := msg.Payload.(wire.ReadAck)
-	if !ok {
+	if !ok || !s.fresh(msg, ack.ObjectID, ack.Round, ack.TSR) {
 		return false
-	}
-	if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-		return false
-	}
-	if int(ack.ObjectID) < 0 || int(ack.ObjectID) >= s.cfg.S {
-		return false
-	}
-	switch {
-	case ack.Round == wire.Round1 && ack.TSR == s.tsrFR:
-	case ack.Round == wire.Round2 && s.tsrSR != 0 && ack.TSR == s.tsrSR:
-	default:
-		return false // stale or mismatched control timestamp
 	}
 	k := seenKey{ack.ObjectID, ack.Round}
 	if s.seen[k] {
@@ -420,15 +306,7 @@ func (s *safeReadState) buildConflictGraph(active []string) *conflictGraph {
 
 // round1Done evaluates the Fig. 4 line 11 condition.
 func (s *safeReadState) round1Done() bool {
-	if len(s.respFirst) < s.cfg.RoundQuorum() {
-		return false
-	}
-	responders := make([]types.ObjectID, 0, len(s.respFirst))
-	for id := range s.respFirst {
-		responders = append(responders, id)
-	}
-	g := s.buildConflictGraph(s.activeCandidates())
-	return g.hasConflictFreeSubset(responders, s.cfg.RoundQuorum())
+	return s.conflictFreeQuorum(func() *conflictGraph { return s.buildConflictGraph(s.activeCandidates()) })
 }
 
 // safeWitnesses returns the objects vouching for candidate c (Fig. 4

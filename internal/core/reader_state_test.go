@@ -277,19 +277,21 @@ func TestRegularDecideOptimizedFallback(t *testing.T) {
 	s := newRegularReadState(cfg, 0)
 	s.tsrFR = 1
 	s.tsrSR = 2
-	s.cacheTS = 5 // reader has seen ts 5; suffixes are empty
+	// The reader has seen ts 5, so every suffix is empty.
 	empty := make(types.History)
 	for i := 0; i < 3; i++ {
 		s.absorb(histAck(types.ObjectID(i), wire.Round2, 2, empty))
 	}
-	got, done := s.decide(true)
+	s.optimized = true
+	got, done := s.decide()
 	if !done {
 		t.Fatal("optimized reader must terminate on an empty candidate set after a round-2 quorum")
 	}
 	if got.TS != 0 {
 		t.Errorf("fallback marker = %v, want ⟨0,⊥⟩ (caller substitutes the cache)", got)
 	}
-	if _, done := s.decide(false); done {
+	s.optimized = false
+	if _, done := s.decide(); done {
 		t.Error("unoptimized reader must keep waiting (w0 will arrive)")
 	}
 }

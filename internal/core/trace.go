@@ -26,6 +26,10 @@ type Tracer interface {
 	// Decided fires just before the operation returns, with the
 	// operation's timestamp (the written ts, or the returned pair's).
 	Decided(kind OpKind, ts types.TS)
+	// Ext fires for the events the fast path, pipelining and repair
+	// add. Its arguments are typed so that untraced clients format
+	// nothing; ev.Detail renders them.
+	Ext(kind OpKind, ev ExtEvent, round int, from types.ObjectID, ts types.TS)
 }
 
 // ExtEvent labels a protocol event introduced by the fast-path and
@@ -57,52 +61,31 @@ func (e ExtEvent) String() string {
 	return "ext?"
 }
 
-// ExtTracer is an optional extension of Tracer: implementations that
-// also provide Ext receive the fast-path/pipelining/repair events.
-// Kept as a separate interface so existing Tracer implementations stay
-// source-compatible; clients discover it with a type assertion.
-type ExtTracer interface {
-	Ext(kind OpKind, ev ExtEvent, detail string)
-}
-
-// traceExt forwards an extended event when t implements ExtTracer.
-func traceExt(t Tracer, kind OpKind, ev ExtEvent, detail string) {
-	if x, ok := t.(ExtTracer); ok {
-		x.Ext(kind, ev, detail)
+// Detail renders an extended event's arguments: "obj<from>@pw" or
+// "obj<from>@w" for EvPipelinedAck (the confirming ack answered round
+// 1, PW, or round 2, W), "ts=<ts>" for EvRepair (the hint's
+// timestamp), and "" for EvFastRead.
+func (e ExtEvent) Detail(round int, from types.ObjectID, ts types.TS) string {
+	switch e {
+	case EvPipelinedAck:
+		if round == 1 {
+			return fmt.Sprintf("obj%d@pw", from)
+		}
+		return fmt.Sprintf("obj%d@w", from)
+	case EvRepair:
+		return fmt.Sprintf("ts=%d", ts)
 	}
+	return ""
 }
 
 // nopTracer is the default.
 type nopTracer struct{}
 
-func (nopTracer) OpStart(OpKind)                          {}
-func (nopTracer) RoundStart(OpKind, int)                  {}
-func (nopTracer) AckAccepted(OpKind, int, types.ObjectID) {}
-func (nopTracer) Decided(OpKind, types.TS)                {}
-
-// SetTracer installs a tracer on the writer (nil restores the no-op).
-func (w *Writer) SetTracer(t Tracer) {
-	if t == nil {
-		t = nopTracer{}
-	}
-	w.trace = t
-}
-
-// SetTracer installs a tracer on the safe reader.
-func (r *SafeReader) SetTracer(t Tracer) {
-	if t == nil {
-		t = nopTracer{}
-	}
-	r.trace = t
-}
-
-// SetTracer installs a tracer on the regular reader.
-func (r *RegularReader) SetTracer(t Tracer) {
-	if t == nil {
-		t = nopTracer{}
-	}
-	r.trace = t
-}
+func (nopTracer) OpStart(OpKind)                                      {}
+func (nopTracer) RoundStart(OpKind, int)                              {}
+func (nopTracer) AckAccepted(OpKind, int, types.ObjectID)             {}
+func (nopTracer) Decided(OpKind, types.TS)                            {}
+func (nopTracer) Ext(OpKind, ExtEvent, int, types.ObjectID, types.TS) {}
 
 // TraceRecorder is a Tracer that accumulates events as strings, for
 // tests and debugging dumps. Safe for concurrent use.
@@ -138,7 +121,8 @@ func (tr *TraceRecorder) Decided(kind OpKind, ts types.TS) {
 }
 
 // Ext records an extended (fast-path/pipelining/repair) event.
-func (tr *TraceRecorder) Ext(kind OpKind, ev ExtEvent, detail string) {
+func (tr *TraceRecorder) Ext(kind OpKind, ev ExtEvent, round int, from types.ObjectID, ts types.TS) {
+	detail := ev.Detail(round, from, ts)
 	if detail == "" {
 		tr.add(fmt.Sprintf("%s/%s", kind, ev))
 		return

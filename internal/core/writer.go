@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/quorum"
 	"repro/internal/transport"
@@ -27,8 +26,7 @@ import (
 // Writer is not safe for concurrent use; the model's single writer
 // invokes one operation at a time.
 type Writer struct {
-	params Params
-	conn   transport.Conn
+	client
 
 	ts   types.TS
 	last types.WTuple // the complete tuple of the previous write ("last copy of w′")
@@ -38,25 +36,19 @@ type Writer struct {
 	// confirmed by S−t objects; 0 when no write-back is outstanding.
 	pipelined bool
 	pending   types.TS
-
-	stats OpStats
-	trace Tracer
 }
 
 // NewWriter returns the writer client for the given configuration.
 func NewWriter(cfg quorum.Config, conn transport.Conn) (*Writer, error) {
-	p, err := NewParams(cfg)
+	c, err := newClient(cfg, conn)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{params: p, conn: conn, last: types.InitWTuple(), trace: nopTracer{}}, nil
+	return &Writer{client: c, last: types.InitWTuple()}, nil
 }
 
 // TS returns the timestamp of the last completed write.
 func (w *Writer) TS() types.TS { return w.ts }
-
-// LastStats returns the complexity record of the last completed WRITE.
-func (w *Writer) LastStats() OpStats { return w.stats }
 
 // SetPipelined toggles write-round pipelining. When on, Write issues
 // op N's write-back (W) broadcast without awaiting its acks: they are
@@ -86,221 +78,117 @@ func (w *Writer) Pending() types.TS { return w.pending }
 
 // Flush awaits W_ACKs from S−t objects for the pending pipelined
 // write, completing its write-back round. No-op when nothing pends.
+// Flush is not an operation of its own: it leaves LastStats and the
+// tracer untouched.
 func (w *Writer) Flush(ctx context.Context) error {
 	if w.pending == 0 {
 		return nil
 	}
-	cfg := w.params.Cfg
-	acked := make(map[types.ObjectID]bool, cfg.RoundQuorum())
-	for len(acked) < cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("core: WRITE ts=%d flush: %w", w.pending, err)
-		}
-		ack, ok := msg.Payload.(wire.WAck)
-		if !ok || ack.TS != w.pending {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		if !w.params.validObject(ack.ObjectID) || acked[ack.ObjectID] {
-			continue
-		}
-		acked[ack.ObjectID] = true
+	a := &writeOp{op: op{st: OpStats{Kind: OpWrite}, trace: nopTracer{}}, w: w}
+	if err := w.drive(ctx, a); err != nil {
+		return fmt.Errorf("core: WRITE ts=%d flush: %w", w.pending, err)
 	}
-	w.pending = 0
 	return nil
 }
 
 // Write stores v in the register. It blocks until both rounds complete
-// (wait-free given S−t correct objects) or ctx is cancelled.
+// (wait-free given S−t correct objects) or ctx is cancelled; when
+// pipelined, until the PW round completes.
 func (w *Writer) Write(ctx context.Context, v types.Value) error {
 	if v.IsBottom() {
 		return fmt.Errorf("core: ⊥ is not a valid input value for WRITE")
 	}
-	if w.pipelined {
-		return w.writePipelined(ctx, v)
-	}
-	start := time.Now()
-	st := OpStats{Kind: OpWrite}
-	cfg := w.params.Cfg
-	w.trace.OpStart(OpWrite)
-
-	// Round PW: inc(ts); pw := ⟨ts, v⟩; send PW⟨ts, pw, w⟩ to all.
-	w.ts++
-	w.trace.RoundStart(OpWrite, 1)
-	pw := types.TSVal{TS: w.ts, Val: v.Clone()}
-	req := wire.PWReq{TS: w.ts, PW: pw, W: w.last}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), req)
-		st.Sent++
-	}
-	st.Rounds++
-
-	// Wait for PW_ACK⟨ts, tsr⟩ from exactly S−t distinct objects,
-	// folding each vector into currenttsrarray. Snapshotting at exactly
-	// S−t acks matters: the proofs of Lemmas 3 and 6 rely on the
-	// written matrix having exactly t+b+1 non-nil rows.
-	current := types.NewTSRMatrix()
-	for len(current) < cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("core: WRITE ts=%d PW round: %w", w.ts, err)
-		}
-		ack, ok := msg.Payload.(wire.PWAck)
-		if !ok || ack.TS != w.ts {
-			continue // stale or foreign traffic
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue // claimed identity must match the authenticated link
-		}
-		if !w.params.validObject(ack.ObjectID) {
-			continue
-		}
-		if _, dup := current[ack.ObjectID]; dup {
-			continue
-		}
-		st.Acks++
-		w.trace.AckAccepted(OpWrite, 1, ack.ObjectID)
-		current[ack.ObjectID] = ack.TSR.Clone()
-	}
-	// A completed PW round also certifies any write-back left pending
-	// by an earlier pipelined phase: the PW message carried that tuple
-	// and S−t objects installed it before acking.
-	w.pending = 0
-
-	// Round W: w := ⟨pw, currenttsrarray⟩; send W⟨ts, pw, w⟩ to all.
-	w.trace.RoundStart(OpWrite, 2)
-	tuple := types.WTuple{TSVal: pw.Clone(), TSR: current}
-	wreq := wire.WReq{TS: w.ts, PW: pw, W: tuple}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), wreq)
-		st.Sent++
-	}
-	st.Rounds++
-
-	acked := make(map[types.ObjectID]bool, cfg.RoundQuorum())
-	for len(acked) < cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("core: WRITE ts=%d W round: %w", w.ts, err)
-		}
-		ack, ok := msg.Payload.(wire.WAck)
-		if !ok || ack.TS != w.ts {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		if !w.params.validObject(ack.ObjectID) || acked[ack.ObjectID] {
-			continue
-		}
-		st.Acks++
-		w.trace.AckAccepted(OpWrite, 2, ack.ObjectID)
-		acked[ack.ObjectID] = true
-	}
-
-	w.trace.Decided(OpWrite, w.ts)
-	w.last = tuple.Clone()
-	st.Duration = time.Since(start)
-	w.stats = st
-	return nil
+	return w.run(ctx, OpWrite, &writeOp{w: w, v: v})
 }
 
-// writePipelined is the one-awaited-round WRITE (SetPipelined). It
-// broadcasts PW(N), then in a single collect loop absorbs PW_ACKs for
-// N (building the tsr matrix) while also counting confirmations of the
-// still-pending op N−1 — a W_ACK(N−1), or equivalently a PW_ACK(N),
-// which certifies the sender installed tuple(N−1) before acking. Once
-// the matrix holds exactly S−t rows (the snapshot Lemmas 3 and 6 rely
-// on) and N−1 is confirmed by S−t objects, it broadcasts W(N) WITHOUT
-// awaiting its acks and returns; op N+1 (or Flush) collects them.
+// writeOp is one WRITE as an automaton with two phases.
 //
-// Naive early return after broadcasting W(N) alone would be unsafe: a
-// read starting after Write(N) returned could find tuple(N) installed
-// nowhere. Here Write(N) returns only after PW(N) completed at S−t
-// objects — each of which durably holds pw(N) — and tuple(N−1) is
-// installed at S−t objects, so the unpipelined postcondition holds one
-// op late, and the embedding store's flush-before-read closes the last
-// gap for the most recent write.
-func (w *Writer) writePipelined(ctx context.Context, v types.Value) error {
-	start := time.Now()
-	st := OpStats{Kind: OpWrite}
-	cfg := w.params.Cfg
-	w.trace.OpStart(OpWrite)
+// PW phase: broadcast PW⟨ts, pw, w⟩ and fold PW_ACK⟨ts, tsr⟩ from
+// exactly S−t distinct objects into currenttsrarray. Snapshotting at
+// exactly S−t acks matters: the proofs of Lemmas 3 and 6 rely on the
+// written matrix having exactly t+b+1 non-nil rows. The phase also
+// certifies the write-back left pending by a pipelined predecessor
+// N−1: PW(N) carried tuple(N−1), and both object types install it
+// before acking, so each PW_ACK(N) doubles as a W_ACK(N−1); S−t of
+// them leave tuple(N−1) at S−t objects, the unpipelined postcondition
+// one op late. Early W_ACK(N−1)s count as well.
+//
+// W phase: broadcast W⟨ts, pw, ⟨pw, currenttsrarray⟩⟩, which is now
+// pending, and collect W_ACKs from S−t objects. A pipelined WRITE
+// returns right after the broadcast and leaves this phase to the next
+// WRITE's PW phase or to Flush, which runs the W phase alone.
+//
+// Returning before the PW phase would be unsafe: a read starting after
+// Write(N) returned could find tuple(N) installed nowhere. A pipelined
+// Write(N) returns only after PW(N) completed at S−t objects, each of
+// which durably holds pw(N); the embedding store's flush-before-read
+// closes the last gap for the most recent write.
+type writeOp struct {
+	op
+	w     *Writer
+	v     types.Value // nil for Flush
+	pw    types.TSVal
+	tsr   types.TSRMatrix // the PW phase's matrix; nil in the W phase
+	acked objSet          // objects that confirmed w.pending
+}
 
-	// Round PW: inc(ts); pw := ⟨ts, v⟩; send PW⟨ts, pw, w⟩ to all.
+func (a *writeOp) start() wire.Msg {
+	w := a.w
+	a.acked = make(objSet, w.params.Cfg.RoundQuorum())
+	if a.v == nil {
+		return nil // Flush: the W phase alone
+	}
+	// inc(ts); pw := ⟨ts, v⟩; send PW⟨ts, pw, w⟩ to all.
 	w.ts++
-	w.trace.RoundStart(OpWrite, 1)
-	pw := types.TSVal{TS: w.ts, Val: v.Clone()}
-	req := wire.PWReq{TS: w.ts, PW: pw, W: w.last}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), req)
-		st.Sent++
-	}
-	st.Rounds++ // the only awaited round-trip of a pipelined WRITE
+	a.ts = w.ts
+	a.pw = types.TSVal{TS: w.ts, Val: a.v.Clone()}
+	a.tsr = types.NewTSRMatrix()
+	return wire.PWReq{TS: w.ts, PW: a.pw, W: w.last}
+}
 
-	current := types.NewTSRMatrix()
-	confirmed := make(map[types.ObjectID]bool, cfg.RoundQuorum())
-	need := func() bool {
-		if len(current) < cfg.RoundQuorum() {
-			return true
+func (a *writeOp) step(m transport.Message) (wire.Msg, bool) {
+	w, q := a.w, a.w.params.Cfg.RoundQuorum()
+	switch ack := m.Payload.(type) {
+	case wire.PWAck:
+		if a.tsr == nil || ack.TS != w.ts || !fromObject(m, ack.ObjectID, w.params.Cfg.S) {
+			return nil, false
 		}
-		return w.pending != 0 && len(confirmed) < cfg.RoundQuorum()
+		if _, dup := a.tsr[ack.ObjectID]; dup {
+			return nil, false
+		}
+		if w.pending != 0 && !a.acked[ack.ObjectID] {
+			a.acked.add(ack.ObjectID)
+			a.trace.Ext(OpWrite, EvPipelinedAck, 1, ack.ObjectID, 0)
+		}
+		a.ack(1, ack.ObjectID)
+		a.tsr[ack.ObjectID] = ack.TSR.Clone()
+		if len(a.tsr) < q {
+			return nil, false
+		}
+		// w := ⟨pw, currenttsrarray⟩; send W⟨ts, pw, w⟩ to all.
+		tuple := types.WTuple{TSVal: a.pw.Clone(), TSR: a.tsr}
+		w.last = tuple.Clone()
+		w.pending = w.ts
+		a.tsr = nil
+		clear(a.acked)
+		a.unacked = w.pipelined
+		return wire.WReq{TS: w.ts, PW: a.pw, W: tuple}, w.pipelined
+	case wire.WAck:
+		if w.pending == 0 || ack.TS != w.pending || !fromObject(m, ack.ObjectID, w.params.Cfg.S) || a.acked[ack.ObjectID] {
+			return nil, false
+		}
+		a.acked.add(ack.ObjectID)
+		if a.tsr != nil {
+			a.st.Acks++
+			a.trace.Ext(OpWrite, EvPipelinedAck, 2, ack.ObjectID, 0)
+			return nil, false
+		}
+		a.ack(2, ack.ObjectID)
+		if len(a.acked) < q {
+			return nil, false
+		}
+		w.pending = 0
+		return nil, true
 	}
-	for need() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("core: WRITE ts=%d pipelined PW round: %w", w.ts, err)
-		}
-		if msg.From.Kind != transport.KindObject {
-			continue
-		}
-		switch ack := msg.Payload.(type) {
-		case wire.PWAck:
-			if ack.TS != w.ts || types.ObjectID(msg.From.Index) != ack.ObjectID || !w.params.validObject(ack.ObjectID) {
-				continue
-			}
-			// PW_ACK(N) doubles as the object's W_ACK(N−1): PW(N)
-			// carried tuple(N−1) and the object installed it first.
-			if w.pending != 0 && !confirmed[ack.ObjectID] {
-				confirmed[ack.ObjectID] = true
-				traceExt(w.trace, OpWrite, EvPipelinedAck, fmt.Sprintf("obj%d@pw", ack.ObjectID))
-			}
-			if _, dup := current[ack.ObjectID]; dup || len(current) >= cfg.RoundQuorum() {
-				continue // snapshot the matrix at exactly S−t rows
-			}
-			st.Acks++
-			w.trace.AckAccepted(OpWrite, 1, ack.ObjectID)
-			current[ack.ObjectID] = ack.TSR.Clone()
-		case wire.WAck:
-			if w.pending == 0 || ack.TS != w.pending || types.ObjectID(msg.From.Index) != ack.ObjectID {
-				continue
-			}
-			if !w.params.validObject(ack.ObjectID) || confirmed[ack.ObjectID] {
-				continue
-			}
-			st.Acks++
-			confirmed[ack.ObjectID] = true
-			traceExt(w.trace, OpWrite, EvPipelinedAck, fmt.Sprintf("obj%d@w", ack.ObjectID))
-		}
-	}
-
-	// Round W: broadcast ⟨pw, currenttsrarray⟩ but do not await the
-	// acks — the next Write's PW round (or Flush) collects them.
-	w.trace.RoundStart(OpWrite, 2)
-	tuple := types.WTuple{TSVal: pw.Clone(), TSR: current}
-	wreq := wire.WReq{TS: w.ts, PW: pw, W: tuple}
-	for _, id := range w.params.objectIDs() {
-		w.conn.Send(transport.Object(id), wreq)
-		st.Sent++
-	}
-	w.pending = w.ts
-
-	w.trace.Decided(OpWrite, w.ts)
-	w.last = tuple.Clone()
-	st.Duration = time.Since(start)
-	w.stats = st
-	return nil
+	return nil, false
 }

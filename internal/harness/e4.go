@@ -3,11 +3,14 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/baseline"
+	"repro/internal/quorum"
 	"repro/internal/stats"
 	"repro/internal/transport"
+	"repro/internal/transport/simnet"
 	"repro/internal/types"
 	"repro/internal/wire"
 )
@@ -154,135 +157,126 @@ func errStr(err error) string {
 }
 
 // worstCaseRounds runs the staged-release schedule against one protocol
-// and returns the read's round count.
+// (MultiRound or GV06Safe) on the deterministic simulator with FIFO
+// delivery and returns the read's round count. The schedule is a pure
+// function of the protocol, so every run measures the same rounds.
 func worstCaseRounds(p Protocol, t, b int) (int, error) {
 	s := objectCount(p, t, b)
+	cfg := quorum.Config{S: s, T: t, B: b, R: 1}
+	net := simnet.New(simnet.FIFO())
+	defer net.Close()
 	// Byzantine staleers occupy the top b slots; the write is prevented
 	// from reaching objects 0..b-1 (their deliveries stay in transit),
 	// so the correct holders are exactly objects b..s-b-1 (t+1 of them
 	// when t=b: s=3b+1 → holders b..2b, count b+1).
-	byz := make(map[int]ByzKind, b)
-	for i := 0; i < b; i++ {
-		byz[s-1-i] = ByzStale
+	for i := 0; i < s; i++ {
+		id := types.ObjectID(i)
+		h := honestHandler(p, id, cfg, false, &Cluster{})
+		if i >= s-b {
+			h = byzHandler(p, ByzStale, id, cfg)
+		}
+		if err := net.Serve(transport.Object(id), h); err != nil {
+			return 0, err
+		}
 	}
-	spec := Spec{Protocol: p, T: t, B: b, Readers: 1, Byz: byz}
-	cl, err := Build(spec)
+	writerID, readerID := transport.Writer(), transport.Reader(0)
+	wconn, err := net.Register(writerID)
 	if err != nil {
 		return 0, err
 	}
-	defer cl.Close()
+	rconn, err := net.Register(readerID)
+	if err != nil {
+		return 0, err
+	}
+	w, err := buildWriter(p, cfg, baseline.AuthKeys{}, wconn)
+	if err != nil {
+		return 0, err
+	}
+	r, err := buildReader(p, cfg, baseline.AuthKeys{}, rconn, 0)
+	if err != nil {
+		return 0, err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	writerID := transport.Writer()
 	for i := 0; i < b; i++ {
-		cl.Net.Block(writerID, transport.Object(types.ObjectID(i)))
+		net.Block(writerID, transport.Object(types.ObjectID(i)))
 	}
-	if err := cl.Writer().Write(ctx, types.Value("target")); err != nil {
+	write := net.Go(func() error { return w.Write(ctx, types.Value("target")) })
+	net.Run()
+	if !write.Done() {
+		return 0, fmt.Errorf("worst-case write stalled")
+	}
+	if err := write.Err(); err != nil {
 		return 0, fmt.Errorf("worst-case write: %w", err)
 	}
 
 	// Holders are objects b..s-b-1. Hold every holder's replies except
-	// the first; release one per observed reader query round.
-	readerID := transport.Reader(0)
+	// the first; release one per query round the reader starts after
+	// its first, observed through its requests to object 0.
 	var holders []types.ObjectID
 	for i := b + 1; i < s-b; i++ {
 		holders = append(holders, types.ObjectID(i))
 	}
 	for _, h := range holders {
-		cl.Net.Block(transport.Object(h), readerID)
+		net.Block(transport.Object(h), readerID)
 	}
-
-	// Release one holder each time the reader starts a new query round
-	// (observed via its outgoing round-1-style requests to object 0).
-	var mu sync.Mutex
-	released := 0
-	seenRounds := make(map[string]bool)
-	cl.Net.AddTap(transport.TapFunc(func(from, to transport.NodeID, payload wire.Msg) {
+	seen := make(map[int64]bool) // query rounds, by attempt or tsr; the tap runs under the simulator's lock
+	var rounds atomic.Int64
+	net.AddTap(transport.TapFunc(func(from, to transport.NodeID, payload wire.Msg) {
 		if from != readerID || to != transport.Object(0) {
 			return
 		}
-		var key string
+		var key int64
 		switch m := payload.(type) {
 		case wire.BaselineReadReq:
-			key = fmt.Sprintf("attempt-%d", m.Attempt)
+			key = int64(m.Attempt)
 		case wire.ReadReq:
-			key = fmt.Sprintf("tsr-%d", m.TSR)
+			key = int64(m.TSR)
 		default:
 			return
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if seenRounds[key] {
-			return
-		}
-		seenRounds[key] = true
-		if len(seenRounds) >= 2 && released < len(holders) {
-			h := holders[released]
-			released++
-			go cl.Net.Unblock(transport.Object(h), readerID)
+		if !seen[key] {
+			seen[key] = true
+			rounds.Add(1)
 		}
 	}))
 
-	// Event-driven release for readers that never issue extra query
-	// rounds: the GV06 reader keeps waiting WITHIN round 2, so the
-	// tap-driven release above never fires for it. Watch the message
-	// counter the way E7's settle does — when traffic has been quiescent
-	// across consecutive samples while the read is still outstanding,
-	// the reader is waiting on a blocked holder, so release the next
-	// one. The valve runs ONLY for such round-stable readers: the
-	// multi-round reader's releases stay purely tap-driven (exactly one
-	// holder per observed round), so a scheduler stall can never hand it
-	// early support and shrink its measured round count — the slippage
-	// the former 300 ms wall-clock valve suffered in both directions.
-	// For the GV06 reader early release is harmless: its round count is
-	// fixed at 2 by construction, quiescence only decides how long it
-	// waits inside that round.
-	readDone := make(chan struct{})
-	valveDone := make(chan struct{})
-	if p == MultiRound {
-		close(valveDone) // tap-driven releases are sufficient and exact
-	} else {
-		go func() {
-			defer close(valveDone)
-			last := cl.Counter.Messages()
-			quiet := 0
-			for {
-				select {
-				case <-readDone:
-					return
-				case <-time.After(time.Millisecond):
-				}
-				now := cl.Counter.Messages()
-				if now != last {
-					last, quiet = now, 0
-					continue
-				}
-				if quiet++; quiet < 2 {
-					continue
-				}
-				quiet = 0
-				mu.Lock()
-				if released < len(holders) {
-					h := holders[released]
-					released++
-					mu.Unlock()
-					cl.Net.Unblock(transport.Object(h), readerID)
-					continue
-				}
-				mu.Unlock()
-			}
-		}()
+	var got types.TSVal
+	read := net.Go(func() (err error) {
+		got, err = r.Read(ctx)
+		return err
+	})
+	released := 0
+	release := func() {
+		net.Unblock(transport.Object(holders[released]), readerID)
+		released++
 	}
-
-	got, err := cl.Reader(0).Read(ctx)
-	close(readDone)
-	<-valveDone
-	if err != nil {
+	for !read.Done() {
+		// Between steps every client is blocked, so the round count is
+		// exact and a released holder's held replies are delivered
+		// before any reply to a later round.
+		for released < len(holders) && int64(released) < rounds.Load()-1 {
+			release()
+		}
+		if net.Step() {
+			continue
+		}
+		// Nothing deliverable and the read still waits: it waits WITHIN
+		// a round (the GV06 reader's second round counts replies
+		// whenever they arrive), so release the next holder. The
+		// multi-round reader never gets here: each of its rounds
+		// completes on the objects that are not held.
+		if released == len(holders) {
+			return 0, fmt.Errorf("worst-case read stalled with every holder released")
+		}
+		release()
+	}
+	if err := read.Err(); err != nil {
 		return 0, fmt.Errorf("worst-case read: %w", err)
 	}
 	if !got.Val.Equal(types.Value("target")) {
 		return 0, fmt.Errorf("worst-case read returned %v, want target (safety!)", got)
 	}
-	return cl.Reader(0).LastStats().Rounds, nil
+	return r.LastStats().Rounds, nil
 }

@@ -364,6 +364,8 @@ type readerSlot struct {
 type readerClient interface {
 	Read(ctx context.Context) (types.TSVal, error)
 	LastStats() core.OpStats
+	SetFastPath(on bool)
+	SetTracer(t core.Tracer)
 }
 
 // Open builds and starts a store per opts.
@@ -954,22 +956,10 @@ func (sh *shard) readerFor(slot *readerSlot, key string, sem Semantics) (readerC
 	if err != nil {
 		return nil, err
 	}
-	if sh.fastRead {
-		switch c := r.(type) {
-		case *core.SafeReader:
-			c.SetFastPath(true)
-		case *core.RegularReader:
-			c.SetFastPath(true)
-		}
-	}
+	r.SetFastPath(sh.fastRead)
 	if sh.tel != nil && sh.tel.tracer != nil {
 		trace := &coreTracer{tr: sh.tel.tracer, key: key, shard: sh.index}
-		switch c := r.(type) {
-		case *core.SafeReader:
-			c.SetTracer(trace)
-		case *core.RegularReader:
-			c.SetTracer(trace)
-		}
+		r.SetTracer(trace)
 		slot.traces[key] = trace
 	}
 	slot.readers[key] = r

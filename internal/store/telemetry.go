@@ -119,12 +119,10 @@ func (t *coreTracer) Decided(kind core.OpKind, ts types.TS) {
 	t.tr.Record(obs.Event{Op: t.op, Kind: obs.EvOpEnd, Key: t.key, Shard: t.shard, Member: -1, Detail: fmt.Sprintf("%s ts=%d", kind, ts)})
 }
 
-var _ core.ExtTracer = (*coreTracer)(nil)
-
-// Ext implements core.ExtTracer: fast-read decisions, pipelined
+// Ext implements core.Tracer: fast-read decisions, pipelined
 // write-back certifications, and read-repair hints appear in the op
 // trace under their own kinds.
-func (t *coreTracer) Ext(kind core.OpKind, ev core.ExtEvent, detail string) {
+func (t *coreTracer) Ext(kind core.OpKind, ev core.ExtEvent, round int, from types.ObjectID, ts types.TS) {
 	var k obs.EventKind
 	switch ev {
 	case core.EvFastRead:
@@ -136,7 +134,7 @@ func (t *coreTracer) Ext(kind core.OpKind, ev core.ExtEvent, detail string) {
 	default:
 		return
 	}
-	t.tr.Record(obs.Event{Op: t.op, Kind: k, Key: t.key, Shard: t.shard, Member: -1, Detail: detail})
+	t.tr.Record(obs.Event{Op: t.op, Kind: k, Key: t.key, Shard: t.shard, Member: -1, Detail: ev.Detail(round, from, ts)})
 }
 
 // roundLabel names a protocol round in the paper's vocabulary: a write
