@@ -211,21 +211,6 @@ func BenchmarkProposition1Replay(b *testing.B) {
 	}
 }
 
-func BenchmarkWTupleKey(b *testing.B) {
-	m := types.NewTSRMatrix()
-	for i := 0; i < 7; i++ {
-		m[types.ObjectID(i)] = types.NewTSRVector(4)
-	}
-	w := types.WTuple{TSVal: types.TSVal{TS: 42, Val: types.Value("payload")}, TSR: m}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(w.Key()) == 0 {
-			b.Fatal("empty key")
-		}
-	}
-}
-
 func BenchmarkWireEncode(b *testing.B) {
 	h := types.NewHistory()
 	for ts := types.TS(1); ts <= 32; ts++ {

@@ -125,7 +125,9 @@
 // base objects, and two rounds are required only when reads contend
 // with writes or faults manifest) leaves the common case open to a
 // fast path. store.Options.FastRead takes it: a reader decides after
-// round 1 alone when all S−t collected replies are byte-identical,
+// round 1 alone when all S−t collected replies are byte-identical —
+// equal by internal/types' Equal, which compares timestamps, value
+// bytes, matrix rows and history entries, never an encoding of them —
 // timestamp-dominant (pw = w at the top, so no write-back is in
 // flight), and conflict-free for this reader (no reported read
 // timestamp above its own). The predicate is safe by the S = 2t+b+1

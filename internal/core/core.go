@@ -15,6 +15,14 @@
 // conflict with that object (Fig. 4 line 1), and the first read round
 // only completes on a conflict-free set of S−t responders.
 //
+// Readers decide by set membership of reported values (the sets C,
+// FirstRW, RW, RPW and RespondedWO of Fig. 4, the per-timestamp
+// candidates of Fig. 6), and they test membership with types' Equal on
+// the values they hold, never through an encoding. No decision depends
+// on map iteration order: the safe reader scans its replies in object
+// order, and the regular reader's candidates sharing a timestamp keep
+// the order in which they were first reported.
+//
 // Clients are written against transport.Conn and run unchanged over the
 // concurrent in-memory network, the deterministic simulator, and TCP.
 //
@@ -75,8 +83,8 @@ type OpStats struct {
 	Acks     int
 	Duration time.Duration
 	// FastPath reports that a READ decided after its first round: all
-	// S−t round-1 replies were byte-identical, timestamp-dominant, and
-	// conflict-free, so round 2 was skipped (see SetFastPath).
+	// S−t round-1 replies were equal (types' Equal), timestamp-dominant
+	// and conflict-free, so round 2 was skipped (see SetFastPath).
 	FastPath bool
 }
 
@@ -100,6 +108,11 @@ func NewParams(cfg quorum.Config) (Params, error) {
 func fromObject(m transport.Message, id types.ObjectID, s int) bool {
 	return m.From.Kind == transport.KindObject && types.ObjectID(m.From.Index) == id && int(id) >= 0 && int(id) < s
 }
+
+// objSet is a set of object indices.
+type objSet map[types.ObjectID]bool
+
+func (s objSet) add(id types.ObjectID) { s[id] = true }
 
 // client is what every core client shares: its configuration, its
 // endpoint, the complexity record of its last operation, and its

@@ -62,8 +62,11 @@ type readState interface {
 	// absorb processes one delivered message; true when it was a
 	// fresh, well-formed acknowledgement of this READ.
 	absorb(m transport.Message) bool
-	// round1Done evaluates the line 11 condition of Figs. 4 and 6.
-	round1Done() bool
+	// activeCandidates returns the candidate set C: the tuples reported
+	// in round 1, less those removed by line 2 of Figs. 4 and 6.
+	activeCandidates() []types.WTuple
+	// reports reports whether object k's round-1 reply holds tuple c.
+	reports(k types.ObjectID, c types.WTuple) bool
 	fastDecide() (types.TSVal, bool)
 	repairHint() (types.WTuple, bool)
 	// decide evaluates the line 14 condition and, when it holds,
@@ -93,11 +96,18 @@ func (b *readBase) reset() {
 	clear(b.respFirst)
 }
 
-// conflictFreeQuorum evaluates the line 11 condition of Figs. 4 and 6:
-// a pairwise conflict-free subset of ≥ S−t round-1 responders exists
-// in the conflict graph that graph builds, which is called only once
-// S−t objects have responded.
-func (b *readBase) conflictFreeQuorum(graph func() *conflictGraph) bool {
+// accuses reports whether vec, one row of a tuple's matrix, claims its
+// object handed the writer a control timestamp of this reader above
+// tsrFR: one the reader had not issued when round 1 began (line 1 of
+// Figs. 4 and 6).
+func (b *readBase) accuses(vec types.TSRVector) bool { return vec.Get(b.j) > b.tsrFR }
+
+// conflictFreeQuorum evaluates the line 11 condition of Figs. 4 and 6
+// for s, the state embedding b: a pairwise conflict-free subset of
+// ≥ S−t round-1 responders exists. conflict(i, k) holds iff k reports an
+// active candidate c whose row c.tsrarray[i] accuses this reader. The
+// graph is built only once S−t objects have responded.
+func (b *readBase) conflictFreeQuorum(s readState) bool {
 	if len(b.respFirst) < b.cfg.RoundQuorum() {
 		return false
 	}
@@ -105,7 +115,36 @@ func (b *readBase) conflictFreeQuorum(graph func() *conflictGraph) bool {
 	for id := range b.respFirst {
 		responders = append(responders, id)
 	}
-	return graph().hasConflictFreeSubset(responders, b.cfg.RoundQuorum())
+	g := newConflictGraph()
+	for _, c := range s.activeCandidates() {
+		for i, vec := range c.TSR {
+			if !b.accuses(vec) {
+				continue
+			}
+			for _, k := range responders {
+				if s.reports(k, c) {
+					g.addConflict(i, k)
+				}
+			}
+		}
+	}
+	return g.hasConflictFreeSubset(responders, b.cfg.RoundQuorum())
+}
+
+// highestSafe evaluates line 14 of Figs. 4 and 6 on the candidates in
+// active: the pair of the first candidate, in active's order, that has
+// the highest timestamp among them and is safe.
+func highestSafe(active []types.WTuple, safe func(types.WTuple) bool) (types.TSVal, bool) {
+	maxTS := types.TS(-1)
+	for _, c := range active {
+		maxTS = max(maxTS, c.TSVal.TS)
+	}
+	for _, c := range active {
+		if c.TSVal.TS == maxTS && safe(c) {
+			return c.TSVal.Clone(), true
+		}
+	}
+	return types.TSVal{}, false
 }
 
 // fresh reports whether an acknowledgement delivered as m, claiming
@@ -158,7 +197,7 @@ func (a *readOp) step(m transport.Message) (wire.Msg, bool) {
 	if b.tsrSR != 0 {
 		return nil, a.decided()
 	}
-	if !s.round1Done() {
+	if !b.conflictFreeQuorum(s) {
 		return nil, false
 	}
 	if b.fast {

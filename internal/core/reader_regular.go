@@ -1,9 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
+	"slices"
 	"sync"
 
 	"repro/internal/quorum"
@@ -80,17 +79,15 @@ type regularReadState struct {
 	// hist[rnd][i] is the history object i reported in round rnd.
 	hist map[wire.Round]map[types.ObjectID]types.History
 
-	// candidates interns the tuples collected from round-1 histories'
-	// non-nil w entries, keyed canonically.
-	candidates map[string]types.WTuple
+	// candidates holds C before removals: the distinct tuples of the
+	// round-1 histories' non-nil w entries, by the tuple's own
+	// timestamp. They alias the histories in hist.
+	candidates map[types.TS][]types.WTuple
 
 	resp2 objSet
 
-	// Fast-path bookkeeping (populated only with fast set): the
-	// canonical key of the first round-1 history, the history itself,
-	// and whether every later round-1 reply matched byte-for-byte.
-	r1Seen      bool
-	r1Key       string
+	// Fast-path bookkeeping (populated only with fast set): the first
+	// round-1 history, and whether every later round-1 history equals it.
 	r1Hist      types.History
 	r1Unanimous bool
 }
@@ -103,38 +100,10 @@ func newRegularReadState(cfg quorum.Config, j types.ReaderID) *regularReadState 
 			wire.Round1: make(map[types.ObjectID]types.History),
 			wire.Round2: make(map[types.ObjectID]types.History),
 		},
-		candidates:  make(map[string]types.WTuple),
+		candidates:  make(map[types.TS][]types.WTuple),
 		resp2:       make(objSet),
 		r1Unanimous: true,
 	}
-}
-
-// historyKey canonically encodes a history for byte-identity
-// comparison: sorted timestamps, each with its pw pair and (when
-// present) the complete tuple's canonical key, all length-prefixed so
-// distinct histories cannot collide by re-splitting.
-func historyKey(h types.History) string {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	for _, ts := range h.Timestamps() {
-		e := h[ts]
-		binary.BigEndian.PutUint64(tmp[:], uint64(ts))
-		buf.Write(tmp[:])
-		pk := tsvalKey(e.PW)
-		binary.BigEndian.PutUint64(tmp[:], uint64(len(pk)))
-		buf.Write(tmp[:])
-		buf.WriteString(pk)
-		if e.W == nil {
-			buf.WriteByte(0)
-			continue
-		}
-		buf.WriteByte(1)
-		wk := e.W.Key()
-		binary.BigEndian.PutUint64(tmp[:], uint64(len(wk)))
-		buf.Write(tmp[:])
-		buf.WriteString(wk)
-	}
-	return buf.String()
 }
 
 var regularStates = sync.Pool{New: func() any { return newRegularReadState(quorum.Config{}, 0) }}
@@ -146,7 +115,7 @@ func (s *regularReadState) release() {
 	clear(s.hist[wire.Round2])
 	clear(s.candidates)
 	clear(s.resp2)
-	s.r1Seen, s.r1Key, s.r1Hist, s.r1Unanimous = false, "", nil, true
+	s.r1Hist, s.r1Unanimous = nil, true
 	regularStates.Put(s)
 }
 
@@ -163,20 +132,23 @@ func (s *regularReadState) absorb(msg transport.Message) bool {
 	h := ack.History.Clone()
 	s.hist[ack.Round][ack.ObjectID] = h
 	if ack.Round == wire.Round1 {
-		s.respFirst.add(ack.ObjectID)
 		for _, e := range h {
-			if e.W != nil {
-				s.candidates[e.W.Key()] = e.W.Clone()
+			if e.W == nil {
+				continue
+			}
+			ts := e.W.TSVal.TS
+			if !slices.ContainsFunc(s.candidates[ts], e.W.Equal) {
+				s.candidates[ts] = append(s.candidates[ts], *e.W)
 			}
 		}
 		if s.fast {
-			hk := historyKey(h)
-			if !s.r1Seen {
-				s.r1Seen, s.r1Key, s.r1Hist = true, hk, h
-			} else if hk != s.r1Key {
+			if len(s.respFirst) == 0 {
+				s.r1Hist = h
+			} else if !h.Equal(s.r1Hist) {
 				s.r1Unanimous = false
 			}
 		}
+		s.respFirst.add(ack.ObjectID)
 	} else {
 		s.resp2.add(ack.ObjectID)
 	}
@@ -187,8 +159,9 @@ func (s *regularReadState) absorb(msg transport.Message) bool {
 // round-1 loop: return the top complete entry of the unanimous
 // round-1 history iff
 //
-//  1. ≥ S−t round-1 replies arrived, ALL carrying byte-identical
-//     histories (same timestamps, pw pairs, and complete tuples);
+//  1. ≥ S−t round-1 replies arrived, ALL carrying identical histories
+//     (types.History.Equal: same timestamps, pw pairs, and complete
+//     tuples);
 //  2. the highest-timestamp entry is COMPLETE and dominant: its w is
 //     non-nil and its pw equals w.tsval — so no responder observed a
 //     pre-write newer than the returned write;
@@ -207,7 +180,7 @@ func (s *regularReadState) absorb(msg transport.Message) bool {
 // at or above the reader's own cached timestamp, and GC retains the
 // newest entry.
 func (s *regularReadState) fastDecide() (types.TSVal, bool) {
-	if !s.fast || !s.r1Unanimous || !s.r1Seen || len(s.respFirst) < s.cfg.RoundQuorum() {
+	if !s.fast || !s.r1Unanimous || len(s.respFirst) < s.cfg.RoundQuorum() {
 		return types.TSVal{}, false
 	}
 	h := s.r1Hist
@@ -220,7 +193,7 @@ func (s *regularReadState) fastDecide() (types.TSVal, bool) {
 			continue
 		}
 		for _, vec := range e.W.TSR {
-			if vec.Get(s.j) > s.tsrFR {
+			if s.accuses(vec) {
 				return types.TSVal{}, false // forged matrix conflicts with us
 			}
 		}
@@ -237,29 +210,33 @@ func (s *regularReadState) repairHint() (types.WTuple, bool) {
 	if !s.fast || s.r1Unanimous {
 		return types.WTuple{}, false
 	}
-	bestKey, found := "", false
-	var best types.WTuple
-	for k, c := range s.candidates {
-		n := 0
-		for _, h := range s.hist[wire.Round1] {
-			e, ok := h[c.TSVal.TS]
-			if ok && e.W != nil && e.W.Equal(c) && e.PW.Equal(c.TSVal) {
-				n++
-			}
-		}
-		if n < s.cfg.SafeThreshold() {
+	var best *types.WTuple
+	for ts, cs := range s.candidates {
+		if best != nil && ts <= best.TSVal.TS {
 			continue
 		}
-		// Deterministic tie-break on the canonical key.
-		if !found || c.TSVal.TS > best.TSVal.TS ||
-			(c.TSVal.TS == best.TSVal.TS && k > bestKey) {
-			best, bestKey, found = c, k, true
+		for i := range cs {
+			if s.vouchers(cs[i]) >= s.cfg.SafeThreshold() {
+				best = &cs[i]
+				break
+			}
 		}
 	}
-	if !found {
+	if best == nil {
 		return types.WTuple{}, false
 	}
 	return best.Clone(), true
+}
+
+// vouchers counts the round-1 histories holding c's complete entry.
+func (s *regularReadState) vouchers(c types.WTuple) int {
+	n := 0
+	for _, h := range s.hist[wire.Round1] {
+		if e, ok := h[c.TSVal.TS]; ok && e.W != nil && e.W.Equal(c) && e.PW.Equal(c.TSVal) {
+			n++
+		}
+	}
+	return n
 }
 
 // entryMismatch reports whether history h contradicts candidate c at
@@ -286,78 +263,62 @@ func entryMatch(h types.History, c types.WTuple) bool {
 	return e.W != nil && e.W.Equal(c)
 }
 
-// invalid counts contradiction witnesses for c across both rounds.
+// witnesses counts the objects whose history, in either round,
+// satisfies pred.
+func (s *regularReadState) witnesses(pred func(types.History) bool) int {
+	n := 0
+	for i := 0; i < s.cfg.S; i++ {
+		for _, byObj := range s.hist {
+			if h, ok := byObj[types.ObjectID(i)]; ok && pred(h) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// invalid reports whether t+b+1 objects contradict c (Fig. 6 line 2).
 func (s *regularReadState) invalid(c types.WTuple) bool {
-	witnesses := make(objSet)
-	for _, byObj := range s.hist {
-		for id, h := range byObj {
-			if entryMismatch(h, c) {
-				witnesses.add(id)
-			}
-		}
-	}
-	return len(witnesses) >= s.cfg.InvalidThreshold()
+	return s.witnesses(func(h types.History) bool { return entryMismatch(h, c) }) >= s.cfg.InvalidThreshold()
 }
 
-// safe counts confirmation witnesses for c across both rounds.
+// safe reports whether b+1 objects confirm c (Fig. 6 line 3).
 func (s *regularReadState) safe(c types.WTuple) bool {
-	witnesses := make(objSet)
-	for _, byObj := range s.hist {
-		for id, h := range byObj {
-			if entryMatch(h, c) {
-				witnesses.add(id)
-			}
-		}
-	}
-	return len(witnesses) >= s.cfg.SafeThreshold()
+	return s.witnesses(func(h types.History) bool { return entryMatch(h, c) }) >= s.cfg.SafeThreshold()
 }
 
-// activeCandidates returns the candidates not yet invalidated.
-func (s *regularReadState) activeCandidates() []string {
-	var out []string
-	for k, c := range s.candidates {
-		if !s.invalid(c) {
-			out = append(out, k)
+// activeCandidates returns the candidates not yet invalidated, each
+// timestamp's candidates in the order they were first reported.
+func (s *regularReadState) activeCandidates() []types.WTuple {
+	var out []types.WTuple
+	for _, cs := range s.candidates {
+		for _, c := range cs {
+			if !s.invalid(c) {
+				out = append(out, c)
+			}
 		}
 	}
 	return out
 }
 
-// buildConflictGraph materializes the Fig. 6 line 1 relation:
-// conflict(i, k) iff object k reported, in round 1, a history entry
-// whose tuple c has c.tsrarray[i][j] > tsrFR, for a c still in C.
-func (s *regularReadState) buildConflictGraph(active []string) *conflictGraph {
-	activeSet := make(map[string]bool, len(active))
-	for _, k := range active {
-		activeSet[k] = true
-	}
-	g := newConflictGraph()
-	for reporter, h := range s.hist[wire.Round1] {
-		for _, e := range h {
-			if e.W == nil {
-				continue
-			}
-			if !activeSet[e.W.Key()] {
-				continue
-			}
-			for accusedID, vec := range e.W.TSR {
-				if vec.Get(s.j) > s.tsrFR {
-					g.addConflict(accusedID, reporter)
-				}
-			}
+// reports reports whether some entry of k's round-1 history, under any
+// timestamp, holds c (Fig. 6 line 1).
+func (s *regularReadState) reports(k types.ObjectID, c types.WTuple) bool {
+	for _, e := range s.hist[wire.Round1][k] {
+		if e.W != nil && e.W.Equal(c) {
+			return true
 		}
 	}
-	return g
-}
-
-// round1Done evaluates the Fig. 6 line 11 condition.
-func (s *regularReadState) round1Done() bool {
-	return s.conflictFreeQuorum(func() *conflictGraph { return s.buildConflictGraph(s.activeCandidates()) })
+	return false
 }
 
 // decide evaluates the Fig. 6 line 14 condition: some highest active
 // candidate is safe. Under §5.1, an empty candidate set after a full
 // round-2 quorum also terminates (the reader substitutes the cache).
+// Candidates sharing the highest timestamp come from one slice of
+// candidates, in a fixed order, so the decision does not depend on map
+// order.
 func (s *regularReadState) decide() (types.TSVal, bool) {
 	active := s.activeCandidates()
 	if len(active) == 0 {
@@ -366,20 +327,5 @@ func (s *regularReadState) decide() (types.TSVal, bool) {
 		}
 		return types.TSVal{}, false
 	}
-	maxTS := types.TS(-1)
-	for _, k := range active {
-		if ts := s.candidates[k].TSVal.TS; ts > maxTS {
-			maxTS = ts
-		}
-	}
-	for _, k := range active {
-		c := s.candidates[k]
-		if c.TSVal.TS != maxTS {
-			continue
-		}
-		if s.safe(c) {
-			return c.TSVal.Clone(), true
-		}
-	}
-	return types.TSVal{}, false
+	return highestSafe(active, s.safe)
 }

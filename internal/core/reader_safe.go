@@ -1,9 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
+	"slices"
 	"sync"
 
 	"repro/internal/quorum"
@@ -41,98 +40,32 @@ func (r *SafeReader) Read(ctx context.Context) (types.TSVal, error) {
 	return r.read(ctx, safeStates.Get().(*safeReadState), 0)
 }
 
-// tsvalKey canonically encodes a timestamp-value pair for map keys.
-func tsvalKey(tv types.TSVal) string {
-	var buf bytes.Buffer
-	var tmp [8]byte
-	binary.BigEndian.PutUint64(tmp[:], uint64(tv.TS))
-	buf.Write(tmp[:])
-	if tv.Val.IsBottom() {
-		buf.WriteByte(0)
-	} else {
-		buf.WriteByte(1)
-		buf.Write(tv.Val)
-	}
-	return buf.String()
+// safeReply is one object's acknowledgement of one round: its w and pw
+// fields.
+type safeReply struct {
+	ok bool
+	w  types.WTuple
+	pw types.TSVal
 }
 
-// objSet is a set of object indices.
-type objSet map[types.ObjectID]bool
-
-func (s objSet) add(id types.ObjectID) { s[id] = true }
-
-// safeReadState carries the per-READ bookkeeping of Fig. 4: the
-// candidate set C, the witness sets RW / RPW / FirstRW, the round-1
-// responder set, and the reader's two round timestamps.
+// safeReadState carries the per-READ bookkeeping of Fig. 4. rep[r][i]
+// holds object i's reply in round r+1; the candidate set C and the
+// witness sets FirstRW, RW, RPW and RespondedWO are scans over it.
 type safeReadState struct {
 	readBase
-
-	// tuples and pairs intern the reported values by canonical key.
-	tuples map[string]types.WTuple
-	pairs  map[string]types.TSVal
-
-	candidates objSetByKey // C: tuples reported in w fields in round 1
-	firstRW    objSetByKey // FirstRW(c): who reported c in round 1
-	rw         objSetByKey // RW(c): who reported c in any round
-	rpw        objSetByKey // RPW(p): who reported pair p in any round
-
-	seen     map[seenKey]bool        // processed (object, round) acks
-	reported map[types.ObjectID]objS // per-object reported tuple keys (for RespondedWO)
-
-	// Fast-path bookkeeping: the (w, pw) keys of the first round-1
-	// reply, and whether every later round-1 reply matched both
-	// byte-for-byte. Divergence is permanent for the READ.
-	r1Seen      bool
-	r1WK, r1PK  string
-	r1Unanimous bool
-}
-
-// objSetByKey maps a canonical tuple/pair key to its witness set.
-type objSetByKey map[string]objSet
-
-func (m objSetByKey) at(key string) objSet {
-	s := m[key]
-	if s == nil {
-		s = make(objSet)
-		m[key] = s
-	}
-	return s
-}
-
-type objS map[string]bool
-
-type seenKey struct {
-	obj   types.ObjectID
-	round wire.Round
+	rep [2][]safeReply
 }
 
 func newSafeReadState(cfg quorum.Config, j types.ReaderID) *safeReadState {
-	return &safeReadState{
-		readBase:    newReadBase(cfg, j),
-		tuples:      make(map[string]types.WTuple),
-		pairs:       make(map[string]types.TSVal),
-		candidates:  make(objSetByKey),
-		firstRW:     make(objSetByKey),
-		rw:          make(objSetByKey),
-		rpw:         make(objSetByKey),
-		seen:        make(map[seenKey]bool),
-		reported:    make(map[types.ObjectID]objS),
-		r1Unanimous: true,
-	}
+	return &safeReadState{readBase: newReadBase(cfg, j)}
 }
 
 var safeStates = sync.Pool{New: func() any { return newSafeReadState(quorum.Config{}, 0) }}
 
 func (s *safeReadState) release() {
 	s.readBase.reset()
-	for _, m := range [...]objSetByKey{s.candidates, s.firstRW, s.rw, s.rpw} {
-		clear(m)
-	}
-	clear(s.tuples)
-	clear(s.pairs)
-	clear(s.seen)
-	clear(s.reported)
-	s.r1Seen, s.r1WK, s.r1PK, s.r1Unanimous = false, "", "", true
+	clear(s.rep[0])
+	clear(s.rep[1])
 	safeStates.Put(s)
 }
 
@@ -141,43 +74,55 @@ func (s *safeReadState) absorb(msg transport.Message) bool {
 	if !ok || !s.fresh(msg, ack.ObjectID, ack.Round, ack.TSR) {
 		return false
 	}
-	k := seenKey{ack.ObjectID, ack.Round}
-	if s.seen[k] {
+	if len(s.rep[0]) != s.cfg.S {
+		s.rep = [2][]safeReply{make([]safeReply, s.cfg.S), make([]safeReply, s.cfg.S)}
+	}
+	r := &s.rep[ack.Round-wire.Round1][ack.ObjectID]
+	if r.ok {
 		return false
 	}
-	s.seen[k] = true
-
-	w := ack.W.Clone()
-	pw := ack.PW.Clone()
-	wk, pk := w.Key(), tsvalKey(pw)
-	s.tuples[wk] = w
-	s.pairs[pk] = pw
-
-	s.rw.at(wk).add(ack.ObjectID)
-	s.rpw.at(pk).add(ack.ObjectID)
-	if s.reported[ack.ObjectID] == nil {
-		s.reported[ack.ObjectID] = make(objS)
-	}
-	s.reported[ack.ObjectID][wk] = true
-
+	*r = safeReply{ok: true, w: ack.W.Clone(), pw: ack.PW.Clone()}
 	if ack.Round == wire.Round1 {
-		s.firstRW.at(wk).add(ack.ObjectID)
-		s.candidates.at(wk).add(ack.ObjectID)
 		s.respFirst.add(ack.ObjectID)
-		if !s.r1Seen {
-			s.r1Seen, s.r1WK, s.r1PK = true, wk, pk
-		} else if wk != s.r1WK || pk != s.r1PK {
-			s.r1Unanimous = false
-		}
 	}
 	return true
+}
+
+// objects counts the objects with a reply, in either round, that
+// satisfies pred.
+func (s *safeReadState) objects(pred func(*safeReply) bool) int {
+	n := 0
+	for i := range s.rep[0] {
+		if r1, r2 := &s.rep[0][i], &s.rep[1][i]; r1.ok && pred(r1) || r2.ok && pred(r2) {
+			n++
+		}
+	}
+	return n
+}
+
+// unanimous returns the first round-1 reply when every round-1 reply
+// equals it in both the w and the pw field.
+func (s *safeReadState) unanimous() (*safeReply, bool) {
+	var first *safeReply
+	for i := range s.rep[0] {
+		r := &s.rep[0][i]
+		switch {
+		case !r.ok:
+		case first == nil:
+			first = r
+		case !r.w.Equal(first.w) || !r.pw.Equal(first.pw):
+			return nil, false
+		}
+	}
+	return first, first != nil
 }
 
 // fastDecide evaluates the single-round fast-path predicate after the
 // round-1 loop: return the unanimous candidate's pair iff
 //
-//  1. ≥ S−t round-1 replies arrived, ALL byte-identical in both the w
-//     and pw fields (a single candidate c with pw = c.tsval);
+//  1. ≥ S−t round-1 replies arrived, ALL identical in both the w and
+//     pw fields — equal by types' Equal, which compares value bytes and
+//     matrix rows (a single candidate c with pw = c.tsval);
 //  2. pw equals c.tsval — timestamp dominance: no object observed a
 //     pre-write newer than c, i.e. no write was in progress at any
 //     responder when it replied;
@@ -209,16 +154,16 @@ func (s *safeReadState) absorb(msg transport.Message) bool {
 // two-round protocol — the paper's Proposition 1 shows rounds can
 // only be saved in exactly these contention- and fault-free runs.
 func (s *safeReadState) fastDecide() (types.TSVal, bool) {
-	if !s.r1Unanimous || !s.r1Seen || len(s.respFirst) < s.cfg.RoundQuorum() {
+	first, ok := s.unanimous()
+	if !ok || len(s.respFirst) < s.cfg.RoundQuorum() {
 		return types.TSVal{}, false
 	}
-	c := s.tuples[s.r1WK]
-	pw := s.pairs[s.r1PK]
-	if !pw.Equal(c.TSVal) {
+	c := first.w
+	if !first.pw.Equal(c.TSVal) {
 		return types.TSVal{}, false // a pre-write is in flight somewhere
 	}
 	for _, vec := range c.TSR {
-		if vec.Get(s.j) > s.tsrFR {
+		if s.accuses(vec) {
 			return types.TSVal{}, false // forged matrix conflicts with us
 		}
 	}
@@ -227,110 +172,76 @@ func (s *safeReadState) fastDecide() (types.TSVal, bool) {
 
 // repairHint picks the tuple the slow-path round 2 piggybacks: the
 // highest-timestamp candidate whose exact tuple was reported by ≥ b+1
-// objects in round 1. b+1 byte-identical full-tuple reports mean at
-// least one honest object durably stores c, so c is genuine and a
-// Byzantine object cannot launder a forged tuple through this reader
-// into honest replicas. Returns false when round 1 was unanimous
-// (nothing to repair) or no candidate clears the vouching bar.
+// objects in round 1. b+1 equal full-tuple reports mean at least one
+// honest object durably stores c, so c is genuine and a Byzantine
+// object cannot launder a forged tuple through this reader into honest
+// replicas. Returns false when round 1 was unanimous (nothing to
+// repair) or no candidate clears the vouching bar.
 func (s *safeReadState) repairHint() (types.WTuple, bool) {
-	if s.r1Unanimous {
+	if _, ok := s.unanimous(); ok {
 		return types.WTuple{}, false
 	}
-	bestKey, found := "", false
-	var best types.WTuple
-	for ck, set := range s.firstRW {
-		if len(set) < s.cfg.SafeThreshold() {
+	var best *types.WTuple
+	for i := range s.rep[0] {
+		c := &s.rep[0][i].w
+		if !s.rep[0][i].ok || best != nil && c.TSVal.TS <= best.TSVal.TS {
 			continue
 		}
-		c := s.tuples[ck]
-		// Deterministic tie-break on the canonical key.
-		if !found || c.TSVal.TS > best.TSVal.TS ||
-			(c.TSVal.TS == best.TSVal.TS && ck > bestKey) {
-			best, bestKey, found = c, ck, true
+		if s.firstRW(*c) >= s.cfg.SafeThreshold() {
+			best = c
 		}
 	}
-	if !found {
+	if best == nil {
 		return types.WTuple{}, false
 	}
 	return best.Clone(), true
 }
 
-// respondedWO counts the objects that reported some tuple other than c
-// in their w field, in any round (Fig. 4 line 2).
-func (s *safeReadState) respondedWO(cKey string) int {
+// firstRW counts FirstRW(c): the objects that reported c in round 1.
+func (s *safeReadState) firstRW(c types.WTuple) int {
 	n := 0
-	for _, keys := range s.reported {
-		for k := range keys {
-			if k != cKey {
-				n++
-				break
-			}
+	for i := range s.rep[0] {
+		if s.reports(types.ObjectID(i), c) {
+			n++
 		}
 	}
 	return n
 }
 
-// activeCandidates returns the keys currently in C: reported in round 1
-// and not removed by the RespondedWO(c) ≥ t+b+1 rule.
-func (s *safeReadState) activeCandidates() []string {
-	var out []string
-	for k := range s.candidates {
-		if s.respondedWO(k) < s.cfg.InvalidThreshold() {
-			out = append(out, k)
+func (s *safeReadState) reports(k types.ObjectID, c types.WTuple) bool {
+	r := &s.rep[0][k]
+	return r.ok && r.w.Equal(c)
+}
+
+// respondedWO counts the objects that reported some tuple other than c
+// in their w field, in any round (Fig. 4 line 2).
+func (s *safeReadState) respondedWO(c types.WTuple) int {
+	return s.objects(func(r *safeReply) bool { return !r.w.Equal(c) })
+}
+
+// activeCandidates returns C in ascending order of the first object
+// that reported each candidate: the distinct tuples reported in round
+// 1, less those removed by the RespondedWO(c) ≥ t+b+1 rule. The order
+// makes decide deterministic.
+func (s *safeReadState) activeCandidates() []types.WTuple {
+	var out []types.WTuple
+	for i := range s.rep[0] {
+		r := &s.rep[0][i]
+		// A tuple equal to an earlier inactive one is inactive too.
+		if r.ok && !slices.ContainsFunc(out, r.w.Equal) && s.respondedWO(r.w) < s.cfg.InvalidThreshold() {
+			out = append(out, r.w)
 		}
 	}
 	return out
 }
 
-// buildConflictGraph materializes the conflict relation over the current
-// candidate set: conflict(i, k) iff ∃c ∈ C with k ∈ FirstRW(c) and
-// c.tsrarray[i][j] > tsrFR.
-func (s *safeReadState) buildConflictGraph(active []string) *conflictGraph {
-	g := newConflictGraph()
-	for _, ck := range active {
-		c := s.tuples[ck]
-		reporters := s.firstRW[ck]
-		if len(reporters) == 0 {
-			continue
-		}
-		for accusedID, vec := range c.TSR {
-			if vec.Get(s.j) > s.tsrFR {
-				for reporter := range reporters {
-					g.addConflict(accusedID, reporter)
-				}
-			}
-		}
-	}
-	return g
-}
-
-// round1Done evaluates the Fig. 4 line 11 condition.
-func (s *safeReadState) round1Done() bool {
-	return s.conflictFreeQuorum(func() *conflictGraph { return s.buildConflictGraph(s.activeCandidates()) })
-}
-
-// safeWitnesses returns the objects vouching for candidate c (Fig. 4
+// safeWitnesses counts the objects vouching for candidate c (Fig. 4
 // line 3): those that reported c in w, c.tsval in pw, or any tuple or
 // pair with a strictly higher timestamp.
-func (s *safeReadState) safeWitnesses(cKey string) objSet {
-	c := s.tuples[cKey]
-	out := make(objSet)
-	for k, set := range s.rw {
-		if k == cKey || s.tuples[k].TSVal.TS > c.TSVal.TS {
-			for id := range set {
-				out.add(id)
-			}
-		}
-	}
-	cPairKey := tsvalKey(c.TSVal)
-	for k, set := range s.rpw {
-		if k == cPairKey || s.pairs[k].TS > c.TSVal.TS {
-			for id := range set {
-				out.add(id)
-			}
-		}
-	}
-	return out
+func (s *safeReadState) safeWitnesses(c types.WTuple) int {
+	return s.objects(func(r *safeReply) bool {
+		return r.w.Equal(c) || r.w.TSVal.TS > c.TSVal.TS || r.pw.Equal(c.TSVal) || r.pw.TS > c.TSVal.TS
+	})
 }
 
 // decide evaluates the Fig. 4 line 14 condition and, when it holds,
@@ -341,20 +252,5 @@ func (s *safeReadState) decide() (types.TSVal, bool) {
 	if len(active) == 0 {
 		return types.InitTSVal(), true
 	}
-	maxTS := types.TS(-1)
-	for _, k := range active {
-		if ts := s.tuples[k].TSVal.TS; ts > maxTS {
-			maxTS = ts
-		}
-	}
-	for _, k := range active {
-		c := s.tuples[k]
-		if c.TSVal.TS != maxTS {
-			continue
-		}
-		if len(s.safeWitnesses(k)) >= s.cfg.SafeThreshold() {
-			return c.TSVal.Clone(), true
-		}
-	}
-	return types.TSVal{}, false
+	return highestSafe(active, func(c types.WTuple) bool { return s.safeWitnesses(c) >= s.cfg.SafeThreshold() })
 }

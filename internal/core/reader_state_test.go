@@ -26,6 +26,9 @@ func ackFrom(id types.ObjectID, round wire.Round, tsr types.ReaderTS, pw types.T
 	}
 }
 
+// round1Done evaluates the line 11 condition the way readOp does.
+func round1Done(s readState) bool { return s.base().conflictFreeQuorum(s) }
+
 func newState(t, b int) *safeReadState {
 	s := newSafeReadState(quorum.Optimal(t, b, 1), 0)
 	s.tsrFR = 1
@@ -84,7 +87,7 @@ func TestRespondedWOCountsDissenters(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		s.absorb(ackFrom(types.ObjectID(i), wire.Round1, 1, other.TSVal, other))
 	}
-	if got := s.respondedWO(c.Key()); got != 3 {
+	if got := s.respondedWO(c); got != 3 {
 		t.Errorf("respondedWO = %d, want 3", got)
 	}
 	if len(s.activeCandidates()) != 2 {
@@ -92,9 +95,8 @@ func TestRespondedWOCountsDissenters(t *testing.T) {
 	}
 	// Fourth dissenter hits t+b+1: c is removed from C.
 	s.absorb(ackFrom(4, wire.Round1, 1, other.TSVal, other))
-	active := s.activeCandidates()
-	for _, k := range active {
-		if k == c.Key() {
+	for _, k := range s.activeCandidates() {
+		if k.Equal(c) {
 			t.Error("candidate should be removed at t+b+1 dissenters")
 		}
 	}
@@ -109,12 +111,12 @@ func TestSafeWitnessesHigherTimestampRule(t *testing.T) {
 	s.absorb(ackFrom(0, wire.Round1, 1, types.InitTSVal(), c))
 	s.absorb(ackFrom(1, wire.Round1, 1, c.TSVal, tuple(0, "")))
 	s.absorb(ackFrom(2, wire.Round1, 1, higher.TSVal, higher))
-	if got := len(s.safeWitnesses(c.Key())); got != 3 {
+	if got := s.safeWitnesses(c); got != 3 {
 		t.Errorf("safeWitnesses = %d, want 3", got)
 	}
 	// A *lower* tuple is not a witness.
 	s.absorb(ackFrom(3, wire.Round1, 1, types.InitTSVal(), tuple(1, "old")))
-	if got := len(s.safeWitnesses(c.Key())); got != 3 {
+	if got := s.safeWitnesses(c); got != 3 {
 		t.Errorf("safeWitnesses after low report = %d, want 3", got)
 	}
 }
@@ -162,6 +164,30 @@ func TestDecideBlocksOnUnsafeHighCandidate(t *testing.T) {
 	}
 }
 
+// TestSafeDecideIgnoresMapOrder: with write 2 in flight, a forged
+// ⟨1,evil⟩ and the genuine ⟨1,v1⟩ are both safe (the higher pw vouches
+// for both), and safety allows either. The same replies must still give
+// the same answer every time.
+func TestSafeDecideIgnoresMapOrder(t *testing.T) {
+	evil, v1 := tuple(1, "evil"), tuple(1, "v1")
+	v2 := types.TSVal{TS: 2, Val: types.Value("v2")}
+	answers := map[string]int{}
+	for n := 0; n < 100; n++ {
+		s := newState(1, 1) // S=4, b+1 = 2
+		s.absorb(ackFrom(0, wire.Round1, 1, evil.TSVal, evil))
+		s.absorb(ackFrom(1, wire.Round1, 1, v1.TSVal, v1))
+		s.absorb(ackFrom(2, wire.Round1, 1, v2, v1))
+		got, done := s.decide()
+		if !done {
+			t.Fatal("undecided with both top candidates safe")
+		}
+		answers[got.String()]++
+	}
+	if len(answers) != 1 {
+		t.Fatalf("decide answers vary with map order: %v", answers)
+	}
+}
+
 func TestConflictGraphFromForgedMatrix(t *testing.T) {
 	s := newState(1, 1) // S=4, quorum 3, reader 0, tsrFR 1
 	// Byzantine object 0 presents a candidate accusing objects 1 and 2
@@ -178,12 +204,12 @@ func TestConflictGraphFromForgedMatrix(t *testing.T) {
 	s.absorb(ackFrom(1, wire.Round1, 1, w0.TSVal, w0))
 	s.absorb(ackFrom(2, wire.Round1, 1, w0.TSVal, w0))
 	// Three responders, but {0,1} and {0,2} conflict: no 3-subset.
-	if s.round1Done() {
+	if round1Done(s) {
 		t.Fatal("round 1 must not complete on a conflicted trio")
 	}
 	// A fourth (honest) responder gives the conflict-free {1,2,3}.
 	s.absorb(ackFrom(3, wire.Round1, 1, w0.TSVal, w0))
-	if !s.round1Done() {
+	if !round1Done(s) {
 		t.Fatal("round 1 must complete once a conflict-free quorum exists")
 	}
 }
@@ -200,7 +226,7 @@ func TestConflictIgnoresOtherReadersColumns(t *testing.T) {
 	w0 := types.InitWTuple()
 	s.absorb(ackFrom(1, wire.Round1, 1, w0.TSVal, w0))
 	s.absorb(ackFrom(2, wire.Round1, 1, w0.TSVal, w0))
-	if !s.round1Done() {
+	if !round1Done(s) {
 		t.Fatal("accusations in other readers' columns must not create conflicts")
 	}
 }

@@ -5,7 +5,7 @@
 // between clients and base objects.
 //
 // All composite types have value semantics at package boundaries: Clone
-// performs a deep copy, and Equal / Key compare by value. Byzantine
+// performs a deep copy, and Equal compares by value. Byzantine
 // object implementations receive and return these types, so honest code
 // must never alias a slice or map obtained from an untrusted party;
 // cloning at the boundary is the rule throughout this repository.
@@ -13,7 +13,6 @@ package types
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -42,9 +41,6 @@ type ReaderID int
 // Value is the opaque payload stored in the register. A nil Value is the
 // initial value ⊥, which is not a valid input to WRITE.
 type Value []byte
-
-// Bottom returns the initial value ⊥.
-func Bottom() Value { return nil }
 
 // IsBottom reports whether v is the initial value ⊥.
 func (v Value) IsBottom() bool { return v == nil }
@@ -81,10 +77,6 @@ func (tv TSVal) Clone() TSVal { return TSVal{TS: tv.TS, Val: tv.Val.Clone()} }
 
 // Equal reports whether two timestamp-value pairs are identical.
 func (tv TSVal) Equal(o TSVal) bool { return tv.TS == o.TS && tv.Val.Equal(o.Val) }
-
-// Less orders pairs by timestamp only (values under a correct writer are
-// functionally determined by the timestamp).
-func (tv TSVal) Less(o TSVal) bool { return tv.TS < o.TS }
 
 // String renders the pair for logs and tables.
 func (tv TSVal) String() string {
@@ -190,20 +182,6 @@ func (m TSRMatrix) Get(i ObjectID, j ReaderID) ReaderTS {
 	return m[i].Get(j)
 }
 
-// NonNilColumn returns the object indices whose vectors carry a non-nil
-// entry for reader j, sorted. Lemma 3/6 reason about exactly t+b+1 such
-// coordinates for a genuinely written tuple.
-func (m TSRMatrix) NonNilColumn(j ReaderID) []ObjectID {
-	var ids []ObjectID
-	for id, vec := range m {
-		if vec.Get(j) != NilReaderTS {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
-}
-
 // WTuple is the tuple stored in the w field of base objects:
 // ⟨tsval, tsrarray⟩ — the timestamp-value pair of a write together with
 // the reader-timestamp matrix the writer gathered in that write's PW
@@ -227,42 +205,6 @@ func (w WTuple) Equal(o WTuple) bool { return w.TSVal.Equal(o.TSVal) && w.TSR.Eq
 // String renders the tuple compactly.
 func (w WTuple) String() string {
 	return fmt.Sprintf("{%s,tsr:%d}", w.TSVal, len(w.TSR))
-}
-
-// Key returns a canonical byte encoding of w usable as a map key, so the
-// reader can maintain candidate sets keyed by tuple identity. Two tuples
-// have equal keys iff Equal reports true.
-func (w WTuple) Key() string {
-	var buf bytes.Buffer
-	writeInt64 := func(x int64) {
-		var tmp [8]byte
-		binary.BigEndian.PutUint64(tmp[:], uint64(x))
-		buf.Write(tmp[:])
-	}
-	writeInt64(int64(w.TSVal.TS))
-	if w.TSVal.Val.IsBottom() {
-		writeInt64(-1)
-	} else {
-		writeInt64(int64(len(w.TSVal.Val)))
-		buf.Write(w.TSVal.Val)
-	}
-	ids := make([]ObjectID, 0, len(w.TSR))
-	for id, vec := range w.TSR {
-		if vec != nil {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	writeInt64(int64(len(ids)))
-	for _, id := range ids {
-		writeInt64(int64(id))
-		vec := w.TSR[id]
-		writeInt64(int64(len(vec)))
-		for _, r := range vec {
-			writeInt64(int64(r))
-		}
-	}
-	return buf.String()
 }
 
 // HistEntry is one per-timestamp slot of a regular object's history:
@@ -315,6 +257,20 @@ func (h History) Clone() History {
 		out[ts] = e.Clone()
 	}
 	return out
+}
+
+// Equal reports whether two histories hold equal entries at the same
+// timestamps. It stops at the first difference.
+func (h History) Equal(o History) bool {
+	if len(h) != len(o) {
+		return false
+	}
+	for ts, e := range h {
+		if oe, ok := o[ts]; !ok || !e.Equal(oe) {
+			return false
+		}
+	}
+	return true
 }
 
 // Suffix returns a deep copy of the entries with timestamp ≥ from: the

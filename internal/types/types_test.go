@@ -8,8 +8,8 @@ import (
 )
 
 func TestValueBottom(t *testing.T) {
-	if !Bottom().IsBottom() {
-		t.Error("Bottom() must be ⊥")
+	if !Value(nil).IsBottom() {
+		t.Error("nil must be ⊥")
 	}
 	if Value("x").IsBottom() {
 		t.Error("non-empty value is not ⊥")
@@ -24,6 +24,9 @@ func TestValueBottom(t *testing.T) {
 	if empty.IsBottom() {
 		t.Error("empty non-nil value is distinct from ⊥")
 	}
+	if !InitTSVal().Equal(TSVal{TS: 0}) || InitTSVal().Equal(TSVal{TS: 0, Val: empty}) {
+		t.Error("initial pair is ⟨0,⊥⟩")
+	}
 }
 
 func TestValueCloneIndependence(t *testing.T) {
@@ -35,17 +38,6 @@ func TestValueCloneIndependence(t *testing.T) {
 	}
 	if Value(nil).Clone() != nil {
 		t.Error("⊥ clones to ⊥")
-	}
-}
-
-func TestTSValOrdering(t *testing.T) {
-	a := TSVal{TS: 1, Val: Value("a")}
-	b := TSVal{TS: 2, Val: Value("b")}
-	if !a.Less(b) || b.Less(a) || a.Less(a) {
-		t.Error("Less must be a strict order on timestamps")
-	}
-	if !InitTSVal().Equal(TSVal{TS: 0}) {
-		t.Error("initial pair is ⟨0,⊥⟩")
 	}
 }
 
@@ -75,23 +67,7 @@ func TestTSRMatrixEqualTreatsNilAsAbsent(t *testing.T) {
 	}
 }
 
-func TestTSRMatrixNonNilColumn(t *testing.T) {
-	m := TSRMatrix{
-		2: TSRVector{5, NilReaderTS},
-		0: TSRVector{NilReaderTS, 7},
-		1: nil,
-	}
-	got := m.NonNilColumn(0)
-	if len(got) != 1 || got[0] != 2 {
-		t.Errorf("column 0 = %v, want [2]", got)
-	}
-	got = m.NonNilColumn(1)
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("column 1 = %v, want [0]", got)
-	}
-}
-
-func TestWTupleKeyEqualsIffEqual(t *testing.T) {
+func TestWTupleEqual(t *testing.T) {
 	mk := func(ts TS, val string, ids ...ObjectID) WTuple {
 		m := NewTSRMatrix()
 		for _, id := range ids {
@@ -115,9 +91,6 @@ func TestWTupleKeyEqualsIffEqual(t *testing.T) {
 	for i, c := range cases {
 		if got := c.a.Equal(c.b); got != c.same {
 			t.Errorf("case %d: Equal = %v, want %v", i, got, c.same)
-		}
-		if got := c.a.Key() == c.b.Key(); got != c.same {
-			t.Errorf("case %d: Key equality = %v, want %v", i, got, c.same)
 		}
 	}
 }
@@ -155,6 +128,33 @@ func TestHistorySuffix(t *testing.T) {
 	}
 	if got := h.Timestamps(); len(got) != 6 || got[0] != 0 || got[5] != 5 {
 		t.Errorf("Timestamps = %v", got)
+	}
+}
+
+func TestHistoryEqual(t *testing.T) {
+	mk := func(vals ...string) History {
+		h := NewHistory()
+		for i, v := range vals {
+			w := WTuple{TSVal: TSVal{TS: TS(i + 1), Val: Value(v)}, TSR: NewTSRMatrix()}
+			h[w.TSVal.TS] = HistEntry{PW: w.TSVal, W: &w}
+		}
+		return h
+	}
+	if !mk("a", "b").Equal(mk("a", "b")) || !History(nil).Equal(History{}) {
+		t.Error("equal histories must compare equal")
+	}
+	moved := mk("a", "b")
+	moved[5] = moved[2]
+	delete(moved, 2)
+	for i, o := range []History{mk("a"), mk("a", "c"), mk("a", "b", "c"), moved} {
+		if mk("a", "b").Equal(o) || o.Equal(mk("a", "b")) {
+			t.Errorf("case %d: different histories compare equal", i)
+		}
+	}
+	pending := mk("a", "b")
+	pending[2] = HistEntry{PW: pending[2].PW}
+	if mk("a", "b").Equal(pending) {
+		t.Error("a pending entry differs from a complete one")
 	}
 }
 
@@ -202,20 +202,9 @@ func TestQuickCloneEqualsOriginal(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		w := genTuple(r)
 		c := w.Clone()
-		return w.Equal(c) && c.Equal(w) && w.Key() == c.Key()
+		return w.Equal(c) && c.Equal(w)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickKeyInjective(t *testing.T) {
-	f := func(seedA, seedB int64) bool {
-		ra, rb := rand.New(rand.NewSource(seedA)), rand.New(rand.NewSource(seedB))
-		a, b := genTuple(ra), genTuple(rb)
-		return (a.Key() == b.Key()) == a.Equal(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
