@@ -1,141 +1,17 @@
 package baseline
 
 import (
-	"context"
-	"fmt"
-	"time"
-
 	"repro/internal/core"
+	"repro/internal/quorum"
 	"repro/internal/transport"
-	"repro/internal/types"
-	"repro/internal/wire"
 )
 
-// ABDConfig parameterizes the crash-only register of Attiya, Bar-Noy &
-// Dolev [3]: S = 2t+1 objects, none Byzantine.
-type ABDConfig struct {
-	S int
-	T int
-}
-
-// NewABDConfig returns the majority configuration for t crash failures.
-func NewABDConfig(t int) ABDConfig { return ABDConfig{S: 2*t + 1, T: t} }
-
-// Quorum returns S−t, a majority.
-func (c ABDConfig) Quorum() int { return c.S - c.T }
-
-// ABDWriter is the single writer: one round, majority acknowledgement.
-type ABDWriter struct {
-	cfg   ABDConfig
-	conn  transport.Conn
-	ts    types.TS
-	stats core.OpStats
-}
-
-// NewABDWriter returns the ABD writer client.
-func NewABDWriter(cfg ABDConfig, conn transport.Conn) *ABDWriter {
-	return &ABDWriter{cfg: cfg, conn: conn}
-}
-
-// LastStats returns the complexity record of the last completed WRITE.
-func (w *ABDWriter) LastStats() core.OpStats { return w.stats }
-
-// Write stores v: one round.
-func (w *ABDWriter) Write(ctx context.Context, v types.Value) error {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpWrite, Rounds: 1}
-	w.ts++
-	st.Sent += broadcast(w.conn, w.cfg.S, wire.BaselineWriteReq{TS: w.ts, Val: v.Clone()})
-	acked := make(map[types.ObjectID]bool, w.cfg.Quorum())
-	for len(acked) < w.cfg.Quorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("baseline: ABD write ts=%d: %w", w.ts, err)
-		}
-		ack, ok := msg.Payload.(wire.BaselineWriteAck)
-		if !ok || ack.TS != w.ts || acked[ack.ObjectID] {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		st.Acks++
-		acked[ack.ObjectID] = true
-	}
-	st.Duration = time.Since(start)
-	w.stats = st
-	return nil
-}
-
-// ABDReader reads the register. In regular mode the read is one round
-// (query a majority, return the highest pair); in atomic mode a second
-// write-back round propagates the chosen pair to a majority before
-// returning, yielding atomicity for multiple readers.
-type ABDReader struct {
-	cfg     ABDConfig
-	conn    transport.Conn
-	atomic  bool
-	attempt int
-	stats   core.OpStats
-}
-
-// NewABDReader returns the reader client; atomic selects the write-back
-// variant.
-func NewABDReader(cfg ABDConfig, conn transport.Conn, atomic bool) *ABDReader {
-	return &ABDReader{cfg: cfg, conn: conn, atomic: atomic}
-}
-
-// LastStats returns the complexity record of the last completed READ.
-func (r *ABDReader) LastStats() core.OpStats { return r.stats }
-
-// Read returns the highest pair held by a majority.
-func (r *ABDReader) Read(ctx context.Context) (types.TSVal, error) {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpRead, Rounds: 1}
-	r.attempt++
-	st.Sent += broadcast(r.conn, r.cfg.S, wire.BaselineReadReq{Attempt: r.attempt})
-
-	best := types.InitTSVal()
-	replied := make(map[types.ObjectID]bool, r.cfg.Quorum())
-	for len(replied) < r.cfg.Quorum() {
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("baseline: ABD read: %w", err)
-		}
-		ack, ok := msg.Payload.(wire.BaselineReadAck)
-		if !ok || ack.Attempt != r.attempt || replied[ack.ObjectID] {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		replied[ack.ObjectID] = true
-		st.Acks++
-		if ack.TS > best.TS {
-			best = types.TSVal{TS: ack.TS, Val: ack.Val.Clone()}
-		}
-	}
-
-	if r.atomic && best.TS > 0 {
-		// Write-back round: install the chosen pair at a majority so any
-		// subsequent read sees a timestamp at least as high.
-		st.Rounds++
-		st.Sent += broadcast(r.conn, r.cfg.S, wire.BaselineWriteReq{TS: best.TS, Val: best.Val.Clone()})
-		acked := make(map[types.ObjectID]bool, r.cfg.Quorum())
-		for len(acked) < r.cfg.Quorum() {
-			msg, err := r.conn.Recv(ctx)
-			if err != nil {
-				return types.TSVal{}, fmt.Errorf("baseline: ABD write-back: %w", err)
-			}
-			ack, ok := msg.Payload.(wire.BaselineWriteAck)
-			if !ok || ack.TS != best.TS || acked[ack.ObjectID] {
-				continue
-			}
-			acked[ack.ObjectID] = true
-			st.Acks++
-		}
-	}
-	st.Duration = time.Since(start)
-	r.stats = st
-	return best, nil
+// NewABDReader returns the reader of the crash-only register of Attiya,
+// Bar-Noy & Dolev [3] (S = 2t+1, writers from NewWriter). A regular
+// READ is one round: the highest pair among S−t replies. An atomic READ
+// (atomic set) adds a second round that writes the chosen pair back to
+// S−t objects before returning, yielding atomicity for multiple
+// readers. cfg is not validated: ABD runs at S = 2t+1 whatever b is.
+func NewABDReader(cfg quorum.Config, conn transport.Conn, atomic bool) *Reader {
+	return &Reader{Client: core.NewClient(cfg, conn), decide: highest, writeBack: atomic}
 }

@@ -1,18 +1,15 @@
 package baseline
 
 import (
-	"context"
 	"crypto/ed25519"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
 // AuthKeys is the writer's signing key pair together with the public key
@@ -50,109 +47,27 @@ func (k AuthKeys) Verify(ts types.TS, v types.Value, sig []byte) bool {
 	return len(sig) == ed25519.SignatureSize && ed25519.Verify(k.Public, signPayload(ts, v), sig)
 }
 
-// AuthWriter is the writer of the authenticated regular storage [15]:
-// sign ⟨ts, v⟩, store at S−t objects, one round. S = 2t+b+1 gives the
-// b+1 quorum intersection that guarantees a correct holder of the
-// latest completed write in every read quorum.
-type AuthWriter struct {
-	cfg   quorum.Config
-	keys  AuthKeys
-	conn  transport.Conn
-	ts    types.TS
-	stats core.OpStats
-}
-
-// NewAuthWriter returns the authenticated writer client.
-func NewAuthWriter(cfg quorum.Config, keys AuthKeys, conn transport.Conn) (*AuthWriter, error) {
+// NewAuthWriter returns the writer of the authenticated regular
+// storage [15]: sign ⟨ts, v⟩ and store it at S−t objects, one round.
+// S = 2t+b+1 gives the b+1 quorum intersection that guarantees a
+// correct holder of the latest completed write in every read quorum.
+func NewAuthWriter(cfg quorum.Config, keys AuthKeys, conn transport.Conn) (*Writer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &AuthWriter{cfg: cfg, keys: keys, conn: conn}, nil
+	w := NewWriter(cfg, conn)
+	w.keys = &keys
+	return w, nil
 }
 
-// LastStats returns the complexity record of the last completed WRITE.
-func (w *AuthWriter) LastStats() core.OpStats { return w.stats }
-
-// Write signs and stores v: one round.
-func (w *AuthWriter) Write(ctx context.Context, v types.Value) error {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpWrite, Rounds: 1}
-	w.ts++
-	req := wire.BaselineWriteReq{TS: w.ts, Val: v.Clone(), Sig: w.keys.Sign(w.ts, v)}
-	st.Sent += broadcast(w.conn, w.cfg.S, req)
-	acked := make(map[types.ObjectID]bool, w.cfg.RoundQuorum())
-	for len(acked) < w.cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("baseline: auth write ts=%d: %w", w.ts, err)
-		}
-		ack, ok := msg.Payload.(wire.BaselineWriteAck)
-		if !ok || ack.TS != w.ts || acked[ack.ObjectID] {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		acked[ack.ObjectID] = true
-		st.Acks++
-	}
-	st.Duration = time.Since(start)
-	w.stats = st
-	return nil
-}
-
-// AuthReader is the one-round authenticated reader: collect S−t replies
-// and return the highest pair bearing a valid writer signature.
+// NewAuthReader returns the one-round authenticated reader: collect S−t
+// replies and return the highest pair bearing a valid writer signature.
 // Byzantine objects cannot forge signatures, so the worst they can do is
-// replay an older signed pair — which a correct holder of the latest
+// replay an older signed pair, which a correct holder of the latest
 // write outbids.
-type AuthReader struct {
-	cfg     quorum.Config
-	keys    AuthKeys
-	conn    transport.Conn
-	attempt int
-	stats   core.OpStats
-}
-
-// NewAuthReader returns the authenticated reader client.
-func NewAuthReader(cfg quorum.Config, keys AuthKeys, conn transport.Conn) (*AuthReader, error) {
+func NewAuthReader(cfg quorum.Config, keys AuthKeys, conn transport.Conn) (*Reader, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &AuthReader{cfg: cfg, keys: keys, conn: conn}, nil
-}
-
-// LastStats returns the complexity record of the last completed READ.
-func (r *AuthReader) LastStats() core.OpStats { return r.stats }
-
-// Read returns the highest validly signed pair from S−t replies.
-func (r *AuthReader) Read(ctx context.Context) (types.TSVal, error) {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpRead, Rounds: 1}
-	r.attempt++
-	st.Sent += broadcast(r.conn, r.cfg.S, wire.BaselineReadReq{Attempt: r.attempt})
-
-	best := types.InitTSVal()
-	replied := make(map[types.ObjectID]bool, r.cfg.RoundQuorum())
-	for len(replied) < r.cfg.RoundQuorum() {
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("baseline: auth read: %w", err)
-		}
-		ack, ok := msg.Payload.(wire.BaselineReadAck)
-		if !ok || ack.Attempt != r.attempt || replied[ack.ObjectID] {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		replied[ack.ObjectID] = true
-		st.Acks++
-		if ack.TS > best.TS && ack.TS > 0 && r.keys.Verify(ack.TS, ack.Val, ack.Sig) {
-			best = types.TSVal{TS: ack.TS, Val: ack.Val.Clone()}
-		}
-	}
-	st.Duration = time.Since(start)
-	r.stats = st
-	return best, nil
+	return &Reader{Client: core.NewClient(cfg, conn), decide: highest, keys: &keys}, nil
 }

@@ -17,14 +17,21 @@
 //     one-round writes and (contention-free) one-round reads, showing
 //     the resilience/latency trade-off exactly at the bound.
 //
-// All baselines run over the same transport substrate and expose the
-// same Write/Read shape as the core clients, so the harness can sweep
-// them uniformly.
+// Every baseline client is an automaton on the one driver of
+// internal/core (core.Client.Run), so the comparison rows count rounds,
+// messages and acknowledgements exactly as the paper's own clients do.
+// The single-field registers (ABD, Auth, FastSafe) share one one-round
+// Writer — as do the §6 push model and the Proposition 1 candidates —
+// and every READ is one Reader that differs only in its decision rule
+// over the objects' reports (see Reports).
 package baseline
 
 import (
+	"context"
 	"sync"
 
+	"repro/internal/core"
+	"repro/internal/quorum"
 	"repro/internal/transport"
 	"repro/internal/types"
 	"repro/internal/wire"
@@ -117,11 +124,69 @@ func (o *TwoFieldObject) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, boo
 	}
 }
 
-// broadcast sends req to objects 0..s-1 and returns how many messages
-// were sent.
-func broadcast(conn transport.Conn, s int, req wire.Msg) int {
-	for i := 0; i < s; i++ {
-		conn.Send(transport.Object(types.ObjectID(i)), req)
+// Writer is the one-round writer of every single-field register here
+// and of the push model and the Proposition 1 candidates: broadcast
+// ⟨ts, v⟩ (signed for Auth) and await S−t distinct acknowledgements.
+type Writer struct {
+	core.Client
+	keys *AuthKeys // Auth: sign every pair
+	ts   types.TS
+}
+
+// NewWriter returns the one-round writer. It does not validate cfg: ABD
+// runs at S = 2t+1 whatever b is.
+func NewWriter(cfg quorum.Config, conn transport.Conn) *Writer {
+	return &Writer{Client: core.NewClient(cfg, conn)}
+}
+
+// Write stores v: one round.
+func (w *Writer) Write(ctx context.Context, v types.Value) error {
+	w.ts++
+	req := wire.BaselineWriteReq{TS: w.ts, Val: v.Clone()}
+	if w.keys != nil {
+		req.Sig = w.keys.Sign(w.ts, v)
 	}
-	return s
+	return w.Run(ctx, core.OpWrite, &writeOp{req: req, acks: newAcks(w.Cfg(), w.ts)})
+}
+
+// writeOp is one WRITE: the request's round, until S−t objects acked.
+type writeOp struct {
+	core.Op
+	req wire.BaselineWriteReq
+	acks
+}
+
+func (a *writeOp) Start() wire.Msg {
+	a.TS = a.req.TS
+	return a.req
+}
+
+func (a *writeOp) Step(m transport.Message) (wire.Msg, bool) {
+	ack, ok := m.Payload.(wire.BaselineWriteAck)
+	return nil, ok && a.add(&a.Op, 1, m, ack.ObjectID, ack.TS)
+}
+
+// acks collects the acknowledgements of timestamp ts in one round, each
+// counted once and only from the object that sent it.
+type acks struct {
+	ts    types.TS
+	q     int
+	acked []bool
+	n     int
+}
+
+func newAcks(cfg quorum.Config, ts types.TS) acks {
+	return acks{ts: ts, q: cfg.RoundQuorum(), acked: make([]bool, cfg.S)}
+}
+
+// add counts the acknowledgement of ts that m carries from object id and
+// reports whether S−t distinct objects have now acknowledged.
+func (c *acks) add(o *core.Op, round int, m transport.Message, id types.ObjectID, ts types.TS) bool {
+	if ts != c.ts || !core.FromObject(m, id, len(c.acked)) || c.acked[id] {
+		return false
+	}
+	c.acked[id] = true
+	c.n++
+	o.Ack(round, id)
+	return c.n >= c.q
 }

@@ -58,11 +58,11 @@ func register(t *testing.T, net *memnet.Net, id transport.NodeID) transport.Conn
 func TestABDWriteRead(t *testing.T) {
 	for _, atomic := range []bool{false, true} {
 		t.Run(fmt.Sprintf("atomic=%v", atomic), func(t *testing.T) {
-			cfg := baseline.NewABDConfig(2)
+			cfg := quorum.Config{S: 5, T: 2, R: 1} // ABD: S = 2t+1, crash-only
 			net := memnet.New()
 			t.Cleanup(func() { net.Close() })
 			serveObjects(t, net, cfg.S, nil)
-			w := baseline.NewABDWriter(cfg, register(t, net, transport.Writer()))
+			w := baseline.NewWriter(cfg, register(t, net, transport.Writer()))
 			r := baseline.NewABDReader(cfg, register(t, net, transport.Reader(0)), atomic)
 			for i := 1; i <= 4; i++ {
 				val := types.Value(fmt.Sprintf("v%d", i))
@@ -92,13 +92,13 @@ func TestABDWriteRead(t *testing.T) {
 }
 
 func TestABDSurvivesCrashes(t *testing.T) {
-	cfg := baseline.NewABDConfig(2)
+	cfg := quorum.Config{S: 5, T: 2, R: 1} // ABD: S = 2t+1, crash-only
 	net := memnet.New()
 	t.Cleanup(func() { net.Close() })
 	serveObjects(t, net, cfg.S, nil)
 	net.Crash(transport.Object(0))
 	net.Crash(transport.Object(4))
-	w := baseline.NewABDWriter(cfg, register(t, net, transport.Writer()))
+	w := baseline.NewWriter(cfg, register(t, net, transport.Writer()))
 	r := baseline.NewABDReader(cfg, register(t, net, transport.Reader(0)), false)
 	if err := w.Write(ctx(t), types.Value("x")); err != nil {
 		t.Fatalf("write: %v", err)
@@ -158,14 +158,14 @@ func TestAuthRejectsForgeries(t *testing.T) {
 
 func TestFastSafeOneRoundRead(t *testing.T) {
 	tt, b := 2, 1
-	cfg := baseline.NewFastSafeConfig(tt, b)
+	cfg := quorum.Config{S: quorum.FastReadThreshold(tt, b) + 1, T: tt, B: b, R: 1}
 	net := memnet.New()
 	t.Cleanup(func() { net.Close() })
 	byz := map[int]transport.Handler{
 		3: baseline.NewForgerObject(3, 100, types.Value("forged")),
 	}
 	serveObjects(t, net, cfg.S, byz)
-	w := baseline.NewFastSafeWriter(cfg, register(t, net, transport.Writer()))
+	w := baseline.NewWriter(cfg, register(t, net, transport.Writer()))
 	r := baseline.NewFastSafeReader(cfg, register(t, net, transport.Reader(0)))
 	for i := 1; i <= 3; i++ {
 		val := types.Value(fmt.Sprintf("v%d", i))

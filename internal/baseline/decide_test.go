@@ -17,6 +17,25 @@ func pair(ts types.TS, v string) types.TSVal {
 	return types.TSVal{TS: ts, Val: types.Value(v)}
 }
 
+// single returns the table in which each object of ps reports its pair
+// in both fields.
+func single(ps map[types.ObjectID]types.TSVal) *Reports {
+	r := NewReports(8)
+	for id, p := range ps {
+		r.Put(id, p, p)
+	}
+	return r
+}
+
+// table returns the table of the two-field reports reps over S objects.
+func table(cfg quorum.Config, reps map[types.ObjectID]report) *Reports {
+	r := NewReports(cfg.S)
+	for id, p := range reps {
+		r.Put(id, p.pw, p.w)
+	}
+	return r
+}
+
 func TestFastSafeDecideRequiresSupport(t *testing.T) {
 	// b+1 = 2 identical pairs needed.
 	latest := map[types.ObjectID]types.TSVal{
@@ -25,7 +44,7 @@ func TestFastSafeDecideRequiresSupport(t *testing.T) {
 		2: pair(9, "forged"), // lone Byzantine high pair
 		3: pair(1, "old"),
 	}
-	got, ok := fastSafeDecide(latest, 2)
+	got, ok := single(latest).Supported(2)
 	if !ok {
 		t.Fatal("undecided")
 	}
@@ -41,25 +60,20 @@ func TestFastSafeDecideValueAware(t *testing.T) {
 		1: pair(3, "y"),
 		2: pair(3, "z"),
 	}
-	if _, ok := fastSafeDecide(latest, 2); ok {
+	if _, ok := single(latest).Supported(2); ok {
 		t.Error("three distinct values at ts 3 must not reach support 2")
 	}
 }
 
 func TestFastSafeDecideUndecidedBelowQuorum(t *testing.T) {
 	latest := map[types.ObjectID]types.TSVal{0: pair(1, "x")}
-	if _, ok := fastSafeDecide(latest, 2); ok {
+	if _, ok := single(latest).Supported(2); ok {
 		t.Error("single reply cannot decide with need=2")
 	}
 }
 
-func mkMultiRoundReader(t *testing.T, tt, b int) *MultiRoundReader {
-	t.Helper()
-	return &MultiRoundReader{cfg: quorum.Optimal(tt, b, 1)}
-}
-
 func TestMultiRoundDecideSkipsRefutedForgery(t *testing.T) {
-	r := mkMultiRoundReader(t, 2, 1) // S=6, refute at 4, support at 2
+	cfg := quorum.Optimal(2, 1, 1) // S=6, refute at 4, support at 2
 	latest := map[types.ObjectID]report{
 		0: {pw: pair(9, "forged"), w: pair(9, "forged")},
 		1: {pw: pair(2, "real"), w: pair(2, "real")},
@@ -67,7 +81,7 @@ func TestMultiRoundDecideSkipsRefutedForgery(t *testing.T) {
 		3: {pw: pair(2, "real"), w: pair(2, "real")},
 		4: {pw: pair(2, "real"), w: pair(2, "real")},
 	}
-	got, ok := r.decide(latest)
+	got, ok := table(cfg, latest).Decide(cfg)
 	if !ok {
 		t.Fatal("undecided: the forgery has 4 refuters and must be skipped")
 	}
@@ -77,7 +91,7 @@ func TestMultiRoundDecideSkipsRefutedForgery(t *testing.T) {
 }
 
 func TestMultiRoundDecideBlocksOnPlausibleHigh(t *testing.T) {
-	r := mkMultiRoundReader(t, 2, 1)
+	cfg := quorum.Optimal(2, 1, 1)
 	// Only 3 < t+b+1 reports below the forgery: it stays plausible and
 	// under-supported, so the reader must keep waiting — never return
 	// the lower value past an unresolved higher candidate.
@@ -87,13 +101,13 @@ func TestMultiRoundDecideBlocksOnPlausibleHigh(t *testing.T) {
 		2: {pw: pair(2, "real"), w: pair(2, "real")},
 		3: {pw: pair(2, "real"), w: pair(2, "real")},
 	}
-	if got, ok := r.decide(latest); ok {
+	if got, ok := table(cfg, latest).Decide(cfg); ok {
 		t.Fatalf("decided %v with an unresolved higher candidate", got)
 	}
 }
 
 func TestMultiRoundDecidePWCountsAsSupport(t *testing.T) {
-	r := mkMultiRoundReader(t, 1, 1) // S=4, support 2
+	cfg := quorum.Optimal(1, 1, 1) // S=4, support 2
 	// One object committed (w), another only pre-wrote (pw): together
 	// they support the pair.
 	latest := map[types.ObjectID]report{
@@ -101,7 +115,7 @@ func TestMultiRoundDecidePWCountsAsSupport(t *testing.T) {
 		1: {pw: pair(1, "v"), w: pair(0, "")},
 		2: {pw: pair(0, ""), w: pair(0, "")},
 	}
-	got, ok := r.decide(latest)
+	got, ok := table(cfg, latest).Decide(cfg)
 	if !ok {
 		t.Fatal("undecided")
 	}
@@ -111,13 +125,13 @@ func TestMultiRoundDecidePWCountsAsSupport(t *testing.T) {
 }
 
 func TestMultiRoundDecideBottomWhenAllInitial(t *testing.T) {
-	r := mkMultiRoundReader(t, 1, 1)
+	cfg := quorum.Optimal(1, 1, 1)
 	latest := map[types.ObjectID]report{
 		0: {pw: pair(0, ""), w: pair(0, "")},
 		1: {pw: pair(0, ""), w: pair(0, "")},
 		2: {pw: pair(0, ""), w: pair(0, "")},
 	}
-	got, ok := r.decide(latest)
+	got, ok := table(cfg, latest).Decide(cfg)
 	if !ok {
 		t.Fatal("undecided on an all-initial view")
 	}
@@ -127,7 +141,7 @@ func TestMultiRoundDecideBottomWhenAllInitial(t *testing.T) {
 }
 
 func TestMultiRoundDecideEqualTSForgery(t *testing.T) {
-	r := mkMultiRoundReader(t, 2, 2) // S=7, support 3
+	cfg := quorum.Optimal(2, 2, 1) // S=7, support 3
 	// A Byzantine object forges a different value at the same ts as the
 	// real write: exact-match support keeps them apart, and the real
 	// value's three holders win.
@@ -141,7 +155,7 @@ func TestMultiRoundDecideEqualTSForgery(t *testing.T) {
 		4: {pw: pair(0, ""), w: pair(0, "")},
 		5: {pw: pair(0, ""), w: pair(0, "")},
 	}
-	got, ok := r.decide(latest)
+	got, ok := table(cfg, latest).Decide(cfg)
 	if !ok {
 		t.Fatal("undecided")
 	}
@@ -180,5 +194,26 @@ func TestAuthSignatures(t *testing.T) {
 	s1 := keys.Sign(1, types.Value("23"))
 	if keys.Verify(12, types.Value("3"), s1) {
 		t.Error("payload framing ambiguous")
+	}
+}
+
+// TestMultiRoundDecideIgnoresMapOrder: a decision is a function of the
+// reports alone. Objects 0 and 1 report ⟨5,a⟩ and the Byzantine object
+// 2 reports ⟨5,x⟩ (S=4, t=b=1): ⟨5,a⟩ has b+1 supporters and a single
+// refuter, so the reader returns it on every call. In the fast-safe
+// case two values at one timestamp both have b+1 identical reports, and
+// the value of the lowest reporting object wins.
+func TestMultiRoundDecideIgnoresMapOrder(t *testing.T) {
+	cfg := quorum.Optimal(1, 1, 1)
+	a, x := pair(5, "a"), pair(5, "x")
+	for i := 0; i < 200; i++ {
+		got, ok := table(cfg, map[types.ObjectID]report{0: {pw: a, w: a}, 1: {pw: a, w: a}, 2: {pw: x, w: x}}).Decide(cfg)
+		if !ok || !got.Equal(a) {
+			t.Fatalf("call %d: multi-round decide = %v, %v; want ⟨5,a⟩", i, got, ok)
+		}
+		got, ok = single(map[types.ObjectID]types.TSVal{0: a, 1: x, 2: a, 3: x}).Supported(2)
+		if !ok || !got.Equal(a) {
+			t.Fatalf("call %d: fast-safe decide = %v, %v; want ⟨5,a⟩", i, got, ok)
+		}
 	}
 }

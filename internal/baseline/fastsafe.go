@@ -1,174 +1,30 @@
 package baseline
 
 import (
-	"context"
-	"fmt"
-	"time"
-
 	"repro/internal/core"
+	"repro/internal/quorum"
 	"repro/internal/transport"
 	"repro/internal/types"
-	"repro/internal/wire"
 )
 
-// FastSafeConfig parameterizes the fast-read safe storage that lives
-// just above the Proposition 1 threshold: S = 2t+2b+1 unauthenticated
-// objects. One object fewer and the paper proves fast reads impossible;
-// with 2t+2b+1 the write quorum (S−t, hence ≥ t+b+1 correct holders)
-// and the read quorum (S−t replies) intersect in ≥ b+1 correct objects,
-// so a single round suffices for both operations.
-type FastSafeConfig struct {
-	S int
-	T int
-	B int
-}
-
-// NewFastSafeConfig returns the 2t+2b+1 configuration.
-func NewFastSafeConfig(t, b int) FastSafeConfig {
-	return FastSafeConfig{S: 2*t + 2*b + 1, T: t, B: b}
-}
-
-// Quorum returns S−t.
-func (c FastSafeConfig) Quorum() int { return c.S - c.T }
-
-// FastSafeWriter writes in a single round to S−t objects.
-type FastSafeWriter struct {
-	cfg   FastSafeConfig
-	conn  transport.Conn
-	ts    types.TS
-	stats core.OpStats
-}
-
-// NewFastSafeWriter returns the writer client.
-func NewFastSafeWriter(cfg FastSafeConfig, conn transport.Conn) *FastSafeWriter {
-	return &FastSafeWriter{cfg: cfg, conn: conn}
-}
-
-// LastStats returns the complexity record of the last completed WRITE.
-func (w *FastSafeWriter) LastStats() core.OpStats { return w.stats }
-
-// Write stores v: one round.
-func (w *FastSafeWriter) Write(ctx context.Context, v types.Value) error {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpWrite, Rounds: 1}
-	w.ts++
-	st.Sent += broadcast(w.conn, w.cfg.S, wire.BaselineWriteReq{TS: w.ts, Val: v.Clone()})
-	acked := make(map[types.ObjectID]bool, w.cfg.Quorum())
-	for len(acked) < w.cfg.Quorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("baseline: fast-safe write ts=%d: %w", w.ts, err)
-		}
-		ack, ok := msg.Payload.(wire.BaselineWriteAck)
-		if !ok || ack.TS != w.ts || acked[ack.ObjectID] {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-			continue
-		}
-		acked[ack.ObjectID] = true
-		st.Acks++
-	}
-	st.Duration = time.Since(start)
-	w.stats = st
-	return nil
-}
-
-// FastSafeReader reads in a single round when the read is not concurrent
-// with writes: it returns the highest pair reported identically by at
-// least b+1 objects, which the 2t+2b+1 quorum intersection guarantees to
-// exist and Byzantine objects (at most b) cannot fabricate. Under heavy
-// write concurrency the support for any single pair can momentarily
-// fragment; the reader then keeps collecting and, if a full round
-// drains without a decision, re-queries — safety is never at stake,
-// only the fast path.
-type FastSafeReader struct {
-	cfg     FastSafeConfig
-	conn    transport.Conn
-	attempt int
-	stats   core.OpStats
-}
-
-// NewFastSafeReader returns the reader client.
-func NewFastSafeReader(cfg FastSafeConfig, conn transport.Conn) *FastSafeReader {
-	return &FastSafeReader{cfg: cfg, conn: conn}
-}
-
-// LastStats returns the complexity record of the last completed READ.
-func (r *FastSafeReader) LastStats() core.OpStats { return r.stats }
-
-// Read returns the highest b+1-supported pair.
-func (r *FastSafeReader) Read(ctx context.Context) (types.TSVal, error) {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpRead}
-
-	// latest[i] is the freshest pair object i reported during this READ.
-	// Replies from earlier READs (attempts below firstAttempt) are
-	// discarded: counting them can fake support for a superseded pair.
-	latest := make(map[types.ObjectID]types.TSVal)
-	firstAttempt := r.attempt + 1
-	for {
-		st.Rounds++
-		r.attempt++
-		st.Sent += broadcast(r.conn, r.cfg.S, wire.BaselineReadReq{Attempt: r.attempt})
-		fresh := make(map[types.ObjectID]bool, r.cfg.Quorum())
-		for len(fresh) < r.cfg.Quorum() {
-			msg, err := r.conn.Recv(ctx)
-			if err != nil {
-				return types.TSVal{}, fmt.Errorf("baseline: fast-safe read: %w", err)
-			}
-			ack, ok := msg.Payload.(wire.BaselineReadAck)
-			if !ok || ack.Attempt > r.attempt || ack.Attempt < firstAttempt {
-				continue
-			}
-			if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-				continue
-			}
-			st.Acks++
-			pair := types.TSVal{TS: ack.TS, Val: ack.Val.Clone()}
-			if cur, seen := latest[ack.ObjectID]; !seen || pair.TS > cur.TS {
-				latest[ack.ObjectID] = pair
-			}
-			if ack.Attempt == r.attempt {
-				fresh[ack.ObjectID] = true
-			}
-			// Deciding before a full S−t quorum of this READ would let
-			// t stale-but-correct objects fake b+1 support for an old
-			// pair; the intersection argument needs the whole quorum.
-			if len(latest) < r.cfg.Quorum() {
-				continue
-			}
-			if best, decided := fastSafeDecide(latest, r.cfg.B+1); decided {
-				st.Duration = time.Since(start)
-				r.stats = st
-				return best, nil
-			}
-		}
-		// A full quorum arrived without a decidable pair (write
-		// concurrency fragmented the support): query again.
-	}
-}
-
-// fastSafeDecide returns the highest pair supported by at least need
-// identical reports, if any.
-func fastSafeDecide(latest map[types.ObjectID]types.TSVal, need int) (types.TSVal, bool) {
-	if len(latest) < need {
-		return types.TSVal{}, false
-	}
-	support := make(map[string]int, len(latest))
-	pairs := make(map[string]types.TSVal, len(latest))
-	for _, p := range latest {
-		k := fmt.Sprintf("%d|%s", p.TS, string(p.Val))
-		support[k]++
-		pairs[k] = p
-	}
-	best := types.TSVal{TS: -1}
-	found := false
-	for k, n := range support {
-		if n >= need && pairs[k].TS > best.TS {
-			best = pairs[k]
-			found = true
-		}
-	}
-	return best, found
+// NewFastSafeReader returns the reader of the fast-read safe storage
+// that lives just above the Proposition 1 threshold: S = 2t+2b+1
+// unauthenticated objects, written in one round by NewWriter. One
+// object fewer and the paper proves fast reads impossible; with 2t+2b+1
+// the write quorum (S−t, hence ≥ t+b+1 correct holders) and the read
+// quorum (S−t replies) intersect in ≥ b+1 correct objects, so a single
+// round suffices for both operations.
+//
+// The READ returns the highest pair reported identically by at least
+// b+1 objects, which that intersection guarantees to exist when the
+// READ is not concurrent with a write, and which Byzantine objects (at
+// most b) cannot fabricate. Under write concurrency the support for any
+// single pair can momentarily fragment; the reader then keeps
+// collecting and, if a full round drains without a decision,
+// re-queries: safety is never at stake, only the fast path. Deciding
+// before S−t objects of this READ have reported would let t
+// stale-but-correct objects fake b+1 support for an old pair.
+func NewFastSafeReader(cfg quorum.Config, conn transport.Conn) *Reader {
+	rule := func(r *Reports) (types.TSVal, bool) { return r.Supported(cfg.SafeThreshold()) }
+	return &Reader{Client: core.NewClient(cfg, conn), decide: rule}
 }

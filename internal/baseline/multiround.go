@@ -2,9 +2,6 @@ package baseline
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/quorum"
@@ -17,10 +14,8 @@ import (
 // two-field objects at optimal resilience S = 2t+b+1: round one installs
 // the pair in every object's pw field, round two commits it to w.
 type MultiRoundWriter struct {
-	cfg   quorum.Config
-	conn  transport.Conn
-	ts    types.TS
-	stats core.OpStats
+	core.Client
+	ts types.TS
 }
 
 // NewMultiRoundWriter returns the writer client.
@@ -28,212 +23,60 @@ func NewMultiRoundWriter(cfg quorum.Config, conn transport.Conn) (*MultiRoundWri
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &MultiRoundWriter{cfg: cfg, conn: conn}, nil
+	return &MultiRoundWriter{Client: core.NewClient(cfg, conn)}, nil
 }
-
-// LastStats returns the complexity record of the last completed WRITE.
-func (w *MultiRoundWriter) LastStats() core.OpStats { return w.stats }
 
 // Write pre-writes then commits v: two rounds.
 func (w *MultiRoundWriter) Write(ctx context.Context, v types.Value) error {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpWrite}
 	w.ts++
 	pair := types.TSVal{TS: w.ts, Val: v.Clone()}
-
-	st.Rounds++
-	st.Sent += broadcast(w.conn, w.cfg.S, wire.PWReq{TS: w.ts, PW: pair})
-	if err := w.awaitAcks(ctx, &st, true); err != nil {
-		return err
-	}
-
-	st.Rounds++
-	st.Sent += broadcast(w.conn, w.cfg.S, wire.WReq{TS: w.ts, PW: pair})
-	if err := w.awaitAcks(ctx, &st, false); err != nil {
-		return err
-	}
-	st.Duration = time.Since(start)
-	w.stats = st
-	return nil
+	return w.Run(ctx, core.OpWrite, &preWriteOp{pair: pair, pw: newAcks(w.Cfg(), w.ts), w: newAcks(w.Cfg(), w.ts)})
 }
 
-func (w *MultiRoundWriter) awaitAcks(ctx context.Context, st *core.OpStats, pwRound bool) error {
-	acked := make(map[types.ObjectID]bool, w.cfg.RoundQuorum())
-	for len(acked) < w.cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("baseline: multi-round write ts=%d: %w", w.ts, err)
-		}
-		var id types.ObjectID
-		var ts types.TS
-		switch ack := msg.Payload.(type) {
-		case wire.PWAck:
-			if !pwRound {
-				continue
-			}
-			id, ts = ack.ObjectID, ack.TS
-		case wire.WAck:
-			if pwRound {
-				continue
-			}
-			id, ts = ack.ObjectID, ack.TS
-		default:
-			continue
-		}
-		if ts != w.ts || acked[id] {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != id {
-			continue
-		}
-		acked[id] = true
-		st.Acks++
-	}
-	return nil
+// preWriteOp is one WRITE: the PW round, then the W round, each until
+// S−t objects acked.
+type preWriteOp struct {
+	core.Op
+	pair  types.TSVal
+	pw, w acks
+	inW   bool // the PW round is complete
 }
 
-// MultiRoundReader is a safe reader that never modifies object state —
-// the regime [1] proved needs b+1 rounds in the worst case with fewer
-// than 2t+2b+1 objects, and the regime the paper's 2-round
+func (a *preWriteOp) Start() wire.Msg {
+	a.TS = a.pair.TS
+	return wire.PWReq{TS: a.pair.TS, PW: a.pair}
+}
+
+func (a *preWriteOp) Step(m transport.Message) (wire.Msg, bool) {
+	switch ack := m.Payload.(type) {
+	case wire.PWAck:
+		if a.inW || !a.pw.add(&a.Op, 1, m, ack.ObjectID, ack.TS) {
+			return nil, false
+		}
+		a.inW = true
+		return wire.WReq{TS: a.pair.TS, PW: a.pair}, false
+	case wire.WAck:
+		return nil, a.inW && a.w.add(&a.Op, 2, m, ack.ObjectID, ack.TS)
+	}
+	return nil, false
+}
+
+// NewMultiRoundReader returns a safe reader that never modifies object
+// state: the regime [1] proved needs b+1 rounds in the worst case with
+// fewer than 2t+2b+1 objects, and the regime the paper's 2-round
 // writing-reader escapes.
 //
 // Each round queries all objects and awaits a fresh S−t quorum,
-// accumulating every object's latest report. A candidate (a reported w
-// pair) is returned once it is the highest non-refuted candidate and at
-// least b+1 objects support it (exactly that pair in pw or w, or any
-// strictly higher timestamp). A candidate is refuted once t+b+1 objects
-// report both fields strictly below it — impossible for the genuinely
-// last completed write, so safety holds unconditionally; Byzantine
-// objects can only delay the decision by injecting high forgeries that
-// take a round or more to refute, which is precisely the b+1-round
-// worst case.
-type MultiRoundReader struct {
-	cfg     quorum.Config
-	conn    transport.Conn
-	attempt int
-	stats   core.OpStats
-}
-
-// NewMultiRoundReader returns the reader client.
-func NewMultiRoundReader(cfg quorum.Config, conn transport.Conn) (*MultiRoundReader, error) {
+// accumulating every object's latest report of both fields, and the
+// READ decides by Reports.Decide: a candidate refuted by t+b+1 objects
+// is skipped, and the highest one not refuted is returned once b+1
+// objects support it. Safety holds unconditionally; Byzantine objects
+// can only delay the decision by injecting high forgeries that take a
+// round or more to refute, which is precisely the b+1-round worst case.
+func NewMultiRoundReader(cfg quorum.Config, conn transport.Conn) (*Reader, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &MultiRoundReader{cfg: cfg, conn: conn}, nil
-}
-
-// LastStats returns the complexity record of the last completed READ.
-func (r *MultiRoundReader) LastStats() core.OpStats { return r.stats }
-
-// report is one object's latest claimed state.
-type report struct {
-	pw types.TSVal
-	w  types.TSVal
-}
-
-// Read returns the register value, using as many non-mutating rounds as
-// the fault pattern forces (b+1 in the worst case).
-func (r *MultiRoundReader) Read(ctx context.Context) (types.TSVal, error) {
-	start := time.Now()
-	st := core.OpStats{Kind: core.OpRead}
-	// Replies from earlier READs are discarded (attempt below
-	// firstAttempt); deciding on them can resurrect superseded pairs.
-	latest := make(map[types.ObjectID]report)
-	firstAttempt := r.attempt + 1
-
-	for {
-		st.Rounds++
-		r.attempt++
-		st.Sent += broadcast(r.conn, r.cfg.S, wire.BaselineReadReq{Attempt: r.attempt})
-		fresh := make(map[types.ObjectID]bool, r.cfg.RoundQuorum())
-		for len(fresh) < r.cfg.RoundQuorum() {
-			msg, err := r.conn.Recv(ctx)
-			if err != nil {
-				return types.TSVal{}, fmt.Errorf("baseline: multi-round read: %w", err)
-			}
-			ack, ok := msg.Payload.(wire.PairsReadAck)
-			if !ok || ack.Attempt > r.attempt || ack.Attempt < firstAttempt {
-				continue
-			}
-			if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != ack.ObjectID {
-				continue
-			}
-			st.Acks++
-			cur, seen := latest[ack.ObjectID]
-			rep := report{pw: ack.PW.Clone(), w: ack.W.Clone()}
-			// Correct objects are monotone; keep the freshest view.
-			if !seen || rep.pw.TS >= cur.pw.TS && rep.w.TS >= cur.w.TS {
-				latest[ack.ObjectID] = rep
-			}
-			if ack.Attempt == r.attempt {
-				fresh[ack.ObjectID] = true
-			}
-			// Quorum intersection is what guarantees the latest complete
-			// write is even a candidate: never decide on fewer than S−t
-			// distinct reports.
-			if len(latest) < r.cfg.RoundQuorum() {
-				continue
-			}
-			if best, decided := r.decide(latest); decided {
-				st.Duration = time.Since(start)
-				r.stats = st
-				return best, nil
-			}
-		}
-		// Quorum complete, still undecided (forged high candidates not
-		// yet refuted, or the genuine candidate under-supported): next
-		// round.
-	}
-}
-
-// decide scans candidates from highest timestamp down: skip refuted
-// ones; return the first with b+1 support; block if the first
-// unrefuted candidate is under-supported.
-func (r *MultiRoundReader) decide(latest map[types.ObjectID]report) (types.TSVal, bool) {
-	// Candidates: every distinct reported w pair, plus ⟨0,⊥⟩.
-	cands := map[string]types.TSVal{tsKey(types.InitTSVal()): types.InitTSVal()}
-	for _, rep := range latest {
-		cands[tsKey(rep.w)] = rep.w
-	}
-	ordered := make([]types.TSVal, 0, len(cands))
-	for _, c := range cands {
-		ordered = append(ordered, c)
-	}
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].TS > ordered[b].TS })
-
-	for _, c := range ordered {
-		refuters, supporters := 0, 0
-		for _, rep := range latest {
-			// An object refutes c when its whole report sits strictly
-			// below c, or when it holds the *same timestamp with a
-			// different value* — the correct writer writes one value
-			// per timestamp, so a same-ts mismatch proves c forged.
-			below := rep.pw.TS < c.TS && rep.w.TS < c.TS
-			sameTSMismatch := (rep.w.TS == c.TS && !rep.w.Equal(c) && rep.pw.TS <= c.TS && !rep.pw.Equal(c)) ||
-				(rep.pw.TS == c.TS && !rep.pw.Equal(c) && rep.w.TS <= c.TS && !rep.w.Equal(c))
-			if below || sameTSMismatch {
-				refuters++
-			}
-			if rep.pw.Equal(c) || rep.w.Equal(c) || rep.pw.TS > c.TS || rep.w.TS > c.TS {
-				supporters++
-			}
-		}
-		if c.TS == 0 {
-			// ⟨0,⊥⟩ needs no support; it is returnable once everything
-			// above it is refuted.
-			return c, true
-		}
-		if refuters >= r.cfg.InvalidThreshold() {
-			continue // provably never completely written: skip
-		}
-		if supporters >= r.cfg.SafeThreshold() {
-			return c, true
-		}
-		return types.TSVal{}, false // plausible but under-supported: wait
-	}
-	return types.TSVal{}, false
-}
-
-func tsKey(tv types.TSVal) string {
-	return fmt.Sprintf("%d|%s", tv.TS, string(tv.Val))
+	rule := func(r *Reports) (types.TSVal, bool) { return r.Decide(cfg) }
+	return &Reader{Client: core.NewClient(cfg, conn), decide: rule, twoField: true}, nil
 }

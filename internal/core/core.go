@@ -27,13 +27,14 @@
 // concurrent in-memory network, the deterministic simulator, and TCP.
 //
 // Every client operation — a WRITE, a pipelined WRITE's PW phase, a
-// Flush, a safe or regular READ — is an automaton that owns no loop:
-// start returns its round-1 broadcast and step absorbs one delivered
-// message, returning the next round's broadcast and whether the
-// operation is complete. One driver (client.drive) owns the only
-// Recv, sends every broadcast, and keeps the OpStats and Tracer
-// bookkeeping, so a scheduler other than a transport can step the same
-// automata.
+// Flush, a safe or regular READ, and every operation of the baseline,
+// server-centric and lower-bound clients — is an Automaton that owns no
+// loop: Start returns its round-1 broadcast and Step absorbs one
+// delivered message, returning the next round's broadcast and whether
+// the operation is complete. One driver (Client.Run) owns every
+// client's only Recv, sends every broadcast, and keeps the OpStats and
+// Tracer bookkeeping, so a scheduler other than a transport can step
+// the same automata and every client counts rounds the same way.
 //
 // The driver sends each round as one ascending sweep over objects
 // 0..S−1 carrying one message value. The store's client mux depends on
@@ -88,24 +89,10 @@ type OpStats struct {
 	FastPath bool
 }
 
-// Params bundles what every client needs: the resilience configuration
-// and derived thresholds.
-type Params struct {
-	Cfg quorum.Config
-}
-
-// NewParams validates cfg and returns client parameters.
-func NewParams(cfg quorum.Config) (Params, error) {
-	if err := cfg.Validate(); err != nil {
-		return Params{}, errors.Join(ErrBadConfig, err)
-	}
-	return Params{Cfg: cfg}, nil
-}
-
-// fromObject reports whether m was delivered by the base object its
+// FromObject reports whether m was delivered by the base object its
 // payload claims as sender, and that object is one of 0..S−1: channels
 // are authenticated point-to-point links in the model.
-func fromObject(m transport.Message, id types.ObjectID, s int) bool {
+func FromObject(m transport.Message, id types.ObjectID, s int) bool {
 	return m.From.Kind == transport.KindObject && types.ObjectID(m.From.Index) == id && int(id) >= 0 && int(id) < s
 }
 
@@ -114,89 +101,93 @@ type objSet map[types.ObjectID]bool
 
 func (s objSet) add(id types.ObjectID) { s[id] = true }
 
-// client is what every core client shares: its configuration, its
-// endpoint, the complexity record of its last operation, and its
-// tracer.
-type client struct {
-	params Params
-	conn   transport.Conn
-	stats  OpStats
-	trace  Tracer
+// Client is what every client shares: its configuration, its endpoint,
+// the complexity record of its last operation, and its tracer.
+type Client struct {
+	cfg   quorum.Config
+	conn  transport.Conn
+	stats OpStats
+	trace Tracer
 }
 
-func newClient(cfg quorum.Config, conn transport.Conn) (client, error) {
-	p, err := NewParams(cfg)
-	if err != nil {
-		return client{}, err
-	}
-	return client{params: p, conn: conn, trace: nopTracer{}}, nil
+// NewClient returns the shared state of a client of cfg on conn. It
+// does not validate cfg: the baselines run outside the Byzantine model
+// (ABD at S = 2t+1 with b > 0).
+func NewClient(cfg quorum.Config, conn transport.Conn) Client {
+	return Client{cfg: cfg, conn: conn, trace: nopTracer{}}
 }
+
+func newClient(cfg quorum.Config, conn transport.Conn) (Client, error) {
+	if err := cfg.Validate(); err != nil {
+		return Client{}, errors.Join(ErrBadConfig, err)
+	}
+	return NewClient(cfg, conn), nil
+}
+
+// Cfg returns the client's configuration.
+func (c *Client) Cfg() quorum.Config { return c.cfg }
 
 // LastStats returns the complexity record of the last completed
 // operation.
-func (c *client) LastStats() OpStats { return c.stats }
+func (c *Client) LastStats() OpStats { return c.stats }
 
 // SetTracer installs a tracer (nil restores the no-op).
-func (c *client) SetTracer(t Tracer) {
+func (c *Client) SetTracer(t Tracer) {
 	if t == nil {
 		t = nopTracer{}
 	}
 	c.trace = t
 }
 
-// automaton is one client operation as a state machine that owns no
-// loop: start returns the round-1 broadcast (nil for none), and step
+// Automaton is one client operation as a state machine that owns no
+// loop: Start returns the round-1 broadcast (nil for none), and Step
 // absorbs one delivered message, returning the next round's broadcast
 // (nil for none) and whether the operation is complete once that
-// broadcast is sent. Automata embed the op record through which they
+// broadcast is sent. Automata embed the Op record through which they
 // report accepted acknowledgements and protocol events.
-type automaton interface {
-	record() *op
-	start() wire.Msg
-	step(m transport.Message) (next wire.Msg, done bool)
+type Automaton interface {
+	Record() *Op
+	Start() wire.Msg
+	Step(m transport.Message) (next wire.Msg, done bool)
 }
 
-// op is the bookkeeping of one running operation.
-type op struct {
+// Op is the bookkeeping of one running operation.
+type Op struct {
 	st      OpStats
 	trace   Tracer
 	round   int      // rounds broadcast so far
-	ts      types.TS // the decided timestamp, set by the automaton
+	TS      types.TS // the decided timestamp, set by the automaton for the tracer
 	unacked bool     // the broadcast about to be sent is not awaited (a pipelined W)
 }
 
-func (o *op) record() *op { return o }
+// Record returns o.
+func (o *Op) Record() *Op { return o }
 
-// ack counts an accepted acknowledgement of round and traces it.
-func (o *op) ack(round int, from types.ObjectID) {
+// Ack counts an accepted acknowledgement of round and traces it.
+func (o *Op) Ack(round int, from types.ObjectID) {
 	o.st.Acks++
 	o.trace.AckAccepted(o.st.Kind, round, from)
 }
 
-// run performs one traced, counted operation and records its stats.
-func (c *client) run(ctx context.Context, kind OpKind, a automaton) error {
+// Run performs one traced, counted operation and records its stats.
+func (c *Client) Run(ctx context.Context, kind OpKind, a Automaton) error {
 	begin := time.Now()
-	o := a.record()
+	o := a.Record()
 	o.st, o.trace = OpStats{Kind: kind}, c.trace
 	c.trace.OpStart(kind)
 	if err := c.drive(ctx, a); err != nil {
 		return fmt.Errorf("core: %s round %d: %w", kind, o.round, err)
 	}
-	// Only the fast path decides a READ after its first round.
-	if kind == OpRead && o.round == 1 {
-		o.st.FastPath = true
-		c.trace.Ext(OpRead, EvFastRead, 0, 0, 0)
-	}
 	o.st.Duration = time.Since(begin)
 	c.stats = o.st
-	c.trace.Decided(kind, o.ts)
+	c.trace.Decided(kind, o.TS)
 	return nil
 }
 
-// drive runs a to completion and is the package's only receive loop.
-func (c *client) drive(ctx context.Context, a automaton) error {
-	o := a.record()
-	next, done := a.start(), false
+// drive runs a to completion and is every client's only receive loop.
+func (c *Client) drive(ctx context.Context, a Automaton) error {
+	o := a.Record()
+	next, done := a.Start(), false
 	for {
 		if next != nil {
 			c.broadcast(o, next)
@@ -208,7 +199,7 @@ func (c *client) drive(ctx context.Context, a automaton) error {
 		if err != nil {
 			return err
 		}
-		next, done = a.step(m)
+		next, done = a.Step(m)
 	}
 }
 
@@ -216,17 +207,17 @@ func (c *client) drive(ctx context.Context, a automaton) error {
 // mux relies on that order: a send whose destination index does not
 // exceed the previous one starts a new round of its hedging and
 // shedding.
-func (c *client) broadcast(o *op, m wire.Msg) {
+func (c *Client) broadcast(o *Op, m wire.Msg) {
 	o.round++
 	o.trace.RoundStart(o.st.Kind, o.round)
 	// A read-repair hint is traced inside the round that carries it.
 	if req, ok := m.(wire.ReadReq); ok && req.Repair != nil {
 		o.trace.Ext(OpRead, EvRepair, 0, 0, req.Repair.TSVal.TS)
 	}
-	for i := 0; i < c.params.Cfg.S; i++ {
+	for i := 0; i < c.cfg.S; i++ {
 		c.conn.Send(transport.Object(types.ObjectID(i)), m)
 	}
-	o.st.Sent += c.params.Cfg.S
+	o.st.Sent += c.cfg.S
 	if !o.unacked {
 		o.st.Rounds++
 	}

@@ -14,7 +14,7 @@ import (
 // the control timestamp tsr′_j that persists across READs, and the
 // fast-path switch.
 type reader struct {
-	client
+	Client
 	id       types.ReaderID
 	tsr      types.ReaderTS
 	fastPath bool
@@ -29,7 +29,7 @@ func newReader(cfg quorum.Config, conn transport.Conn, id types.ReaderID) (reade
 	if int(id) < 0 || int(id) >= cfg.R {
 		return reader{}, fmt.Errorf("%w: reader id %d out of range [0,%d)", ErrBadConfig, id, cfg.R)
 	}
-	return reader{client: c, id: id}, nil
+	return reader{Client: c, id: id}, nil
 }
 
 // SetFastPath enables the contention-free single-round fast path and,
@@ -43,7 +43,7 @@ func (r *reader) SetFastPath(on bool) { r.fastPath = on }
 // releases s; cacheTS is shipped in both rounds (§5.1).
 func (r *reader) read(ctx context.Context, s readState, cacheTS types.TS) (types.TSVal, error) {
 	a := &readOp{r: r, s: s, cacheTS: cacheTS}
-	err := r.run(ctx, OpRead, a)
+	err := r.Run(ctx, OpRead, a)
 	s.release()
 	if err != nil {
 		return types.TSVal{}, err
@@ -150,7 +150,7 @@ func highestSafe(active []types.WTuple, safe func(types.WTuple) bool) (types.TSV
 // fresh reports whether an acknowledgement delivered as m, claiming
 // object id and echoing (round, tsr), answers this READ.
 func (b *readBase) fresh(m transport.Message, id types.ObjectID, round wire.Round, tsr types.ReaderTS) bool {
-	if !fromObject(m, id, b.cfg.S) {
+	if !FromObject(m, id, b.cfg.S) {
 		return false
 	}
 	switch {
@@ -166,32 +166,32 @@ func (b *readBase) fresh(m transport.Message, id types.ObjectID, round wire.Roun
 // set of S−t responders exists, then either the fast-path decision or
 // round 2 (carrying the repair hint) until the decision holds.
 type readOp struct {
-	op
+	Op
 	r       *reader
 	s       readState
 	cacheTS types.TS
 	ret     types.TSVal
 }
 
-func (a *readOp) start() wire.Msg {
+func (a *readOp) Start() wire.Msg {
 	b := a.s.base()
-	b.cfg, b.j, b.fast = a.r.params.Cfg, a.r.id, a.r.fastPath
+	b.cfg, b.j, b.fast = a.r.cfg, a.r.id, a.r.fastPath
 	// tsrFR := ++tsr′_j; send READ1⟨tsr′_j⟩ to all objects.
 	a.r.tsr++
 	b.tsrFR = a.r.tsr
 	return wire.ReadReq{Round: wire.Round1, Reader: a.r.id, TSR: a.r.tsr, CacheTS: a.cacheTS}
 }
 
-func (a *readOp) step(m transport.Message) (wire.Msg, bool) {
+func (a *readOp) Step(m transport.Message) (wire.Msg, bool) {
 	s := a.s
 	if !s.absorb(m) {
 		return nil, false
 	}
 	switch ack := m.Payload.(type) {
 	case wire.ReadAck:
-		a.ack(int(ack.Round), ack.ObjectID)
+		a.Ack(int(ack.Round), ack.ObjectID)
 	case wire.ReadAckHist:
-		a.ack(int(ack.Round), ack.ObjectID)
+		a.Ack(int(ack.Round), ack.ObjectID)
 	}
 	b := s.base()
 	if b.tsrSR != 0 {
@@ -202,6 +202,8 @@ func (a *readOp) step(m transport.Message) (wire.Msg, bool) {
 	}
 	if b.fast {
 		if ret, ok := s.fastDecide(); ok {
+			a.st.FastPath = true
+			a.trace.Ext(OpRead, EvFastRead, 0, 0, 0)
 			return nil, a.finish(ret)
 		}
 	}
@@ -231,6 +233,6 @@ func (a *readOp) finish(ret types.TSVal) bool {
 	if a.r.settle != nil {
 		ret = a.r.settle(ret)
 	}
-	a.ret, a.ts = ret, ret.TS
+	a.ret, a.TS = ret, ret.TS
 	return true
 }

@@ -26,7 +26,7 @@ import (
 // Writer is not safe for concurrent use; the model's single writer
 // invokes one operation at a time.
 type Writer struct {
-	client
+	Client
 
 	ts   types.TS
 	last types.WTuple // the complete tuple of the previous write ("last copy of w′")
@@ -44,7 +44,7 @@ func NewWriter(cfg quorum.Config, conn transport.Conn) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{client: c, last: types.InitWTuple()}, nil
+	return &Writer{Client: c, last: types.InitWTuple()}, nil
 }
 
 // TS returns the timestamp of the last completed write.
@@ -84,7 +84,7 @@ func (w *Writer) Flush(ctx context.Context) error {
 	if w.pending == 0 {
 		return nil
 	}
-	a := &writeOp{op: op{st: OpStats{Kind: OpWrite}, trace: nopTracer{}}, w: w}
+	a := &writeOp{Op: Op{st: OpStats{Kind: OpWrite}, trace: nopTracer{}}, w: w}
 	if err := w.drive(ctx, a); err != nil {
 		return fmt.Errorf("core: WRITE ts=%d flush: %w", w.pending, err)
 	}
@@ -98,7 +98,7 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 	if v.IsBottom() {
 		return fmt.Errorf("core: ⊥ is not a valid input value for WRITE")
 	}
-	return w.run(ctx, OpWrite, &writeOp{w: w, v: v})
+	return w.Run(ctx, OpWrite, &writeOp{w: w, v: v})
 }
 
 // writeOp is one WRITE as an automaton with two phases.
@@ -124,7 +124,7 @@ func (w *Writer) Write(ctx context.Context, v types.Value) error {
 // which durably holds pw(N); the embedding store's flush-before-read
 // closes the last gap for the most recent write.
 type writeOp struct {
-	op
+	Op
 	w     *Writer
 	v     types.Value // nil for Flush
 	pw    types.TSVal
@@ -132,25 +132,25 @@ type writeOp struct {
 	acked objSet          // objects that confirmed w.pending
 }
 
-func (a *writeOp) start() wire.Msg {
+func (a *writeOp) Start() wire.Msg {
 	w := a.w
-	a.acked = make(objSet, w.params.Cfg.RoundQuorum())
+	a.acked = make(objSet, w.cfg.RoundQuorum())
 	if a.v == nil {
 		return nil // Flush: the W phase alone
 	}
 	// inc(ts); pw := ⟨ts, v⟩; send PW⟨ts, pw, w⟩ to all.
 	w.ts++
-	a.ts = w.ts
+	a.TS = w.ts
 	a.pw = types.TSVal{TS: w.ts, Val: a.v.Clone()}
 	a.tsr = types.NewTSRMatrix()
 	return wire.PWReq{TS: w.ts, PW: a.pw, W: w.last}
 }
 
-func (a *writeOp) step(m transport.Message) (wire.Msg, bool) {
-	w, q := a.w, a.w.params.Cfg.RoundQuorum()
+func (a *writeOp) Step(m transport.Message) (wire.Msg, bool) {
+	w, q := a.w, a.w.cfg.RoundQuorum()
 	switch ack := m.Payload.(type) {
 	case wire.PWAck:
-		if a.tsr == nil || ack.TS != w.ts || !fromObject(m, ack.ObjectID, w.params.Cfg.S) {
+		if a.tsr == nil || ack.TS != w.ts || !FromObject(m, ack.ObjectID, w.cfg.S) {
 			return nil, false
 		}
 		if _, dup := a.tsr[ack.ObjectID]; dup {
@@ -160,7 +160,7 @@ func (a *writeOp) step(m transport.Message) (wire.Msg, bool) {
 			a.acked.add(ack.ObjectID)
 			a.trace.Ext(OpWrite, EvPipelinedAck, 1, ack.ObjectID, 0)
 		}
-		a.ack(1, ack.ObjectID)
+		a.Ack(1, ack.ObjectID)
 		a.tsr[ack.ObjectID] = ack.TSR.Clone()
 		if len(a.tsr) < q {
 			return nil, false
@@ -174,7 +174,7 @@ func (a *writeOp) step(m transport.Message) (wire.Msg, bool) {
 		a.unacked = w.pipelined
 		return wire.WReq{TS: w.ts, PW: a.pw, W: tuple}, w.pipelined
 	case wire.WAck:
-		if w.pending == 0 || ack.TS != w.pending || !fromObject(m, ack.ObjectID, w.params.Cfg.S) || a.acked[ack.ObjectID] {
+		if w.pending == 0 || ack.TS != w.pending || !FromObject(m, ack.ObjectID, w.cfg.S) || a.acked[ack.ObjectID] {
 			return nil, false
 		}
 		a.acked.add(ack.ObjectID)
@@ -183,7 +183,7 @@ func (a *writeOp) step(m transport.Message) (wire.Msg, bool) {
 			a.trace.Ext(OpWrite, EvPipelinedAck, 2, ack.ObjectID, 0)
 			return nil, false
 		}
-		a.ack(2, ack.ObjectID)
+		a.Ack(2, ack.ObjectID)
 		if len(a.acked) < q {
 			return nil, false
 		}

@@ -317,14 +317,12 @@ func buildWriter(p Protocol, cfg quorum.Config, keys baseline.AuthKeys, conn tra
 	switch p {
 	case GV06Safe, GV06Regular, GV06RegularOpt:
 		return core.NewWriter(cfg, conn)
-	case ABD, ABDAtomic:
-		return baseline.NewABDWriter(baseline.ABDConfig{S: cfg.S, T: cfg.T}, conn), nil
+	case ABD, ABDAtomic, FastSafe:
+		return baseline.NewWriter(cfg, conn), nil
 	case MultiRound:
 		return baseline.NewMultiRoundWriter(cfg, conn)
 	case Auth:
 		return baseline.NewAuthWriter(cfg, keys, conn)
-	case FastSafe:
-		return baseline.NewFastSafeWriter(baseline.FastSafeConfig{S: cfg.S, T: cfg.T, B: cfg.B}, conn), nil
 	case ServerCentric:
 		return servercentric.NewWriter(cfg, conn)
 	default:
@@ -341,15 +339,15 @@ func buildReader(p Protocol, cfg quorum.Config, keys baseline.AuthKeys, conn tra
 	case GV06RegularOpt:
 		return core.NewRegularReader(cfg, conn, j, true)
 	case ABD:
-		return baseline.NewABDReader(baseline.ABDConfig{S: cfg.S, T: cfg.T}, conn, false), nil
+		return baseline.NewABDReader(cfg, conn, false), nil
 	case ABDAtomic:
-		return baseline.NewABDReader(baseline.ABDConfig{S: cfg.S, T: cfg.T}, conn, true), nil
+		return baseline.NewABDReader(cfg, conn, true), nil
 	case MultiRound:
 		return baseline.NewMultiRoundReader(cfg, conn)
 	case Auth:
 		return baseline.NewAuthReader(cfg, keys, conn)
 	case FastSafe:
-		return baseline.NewFastSafeReader(baseline.FastSafeConfig{S: cfg.S, T: cfg.T, B: cfg.B}, conn), nil
+		return baseline.NewFastSafeReader(cfg, conn), nil
 	case ServerCentric:
 		return servercentric.NewReader(cfg, conn)
 	default:

@@ -2,9 +2,10 @@ package lowerbound
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
+	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -82,41 +83,15 @@ func (o *pairObject) Restore(s any) {
 	o.tsr = snap.TSR.Clone()
 }
 
-// oneRoundWriter writes in a single round awaiting S−t acks.
-type oneRoundWriter struct {
-	cfg  quorum.Config
-	conn transport.Conn
-	ts   types.TS
-}
-
-func (w *oneRoundWriter) Write(ctx context.Context, v types.Value) error {
-	w.ts++
-	for i := 0; i < w.cfg.S; i++ {
-		w.conn.Send(transport.Object(types.ObjectID(i)), wire.BaselineWriteReq{TS: w.ts, Val: v.Clone()})
-	}
-	acked := make(map[types.ObjectID]bool)
-	for len(acked) < w.cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("lowerbound: candidate write: %w", err)
-		}
-		if ack, ok := msg.Payload.(wire.BaselineWriteAck); ok && ack.TS == w.ts {
-			acked[ack.ObjectID] = true
-		}
-	}
-	return nil
-}
-
 // decisionRule maps the S−t collected acknowledgements to a value: the
 // entire degree of freedom a one-round reader has.
-type decisionRule func(cfg quorum.Config, acks map[types.ObjectID]types.TSVal) types.TSVal
+type decisionRule func(cfg quorum.Config, acks *baseline.Reports) types.TSVal
 
 // fastReader is a one-round reader: query all, collect exactly S−t
 // acknowledgements, decide. It never waits for more — that is what
 // makes it fast, and what Proposition 1 exploits.
 type fastReader struct {
-	cfg     quorum.Config
-	conn    transport.Conn
+	core.Client
 	rule    decisionRule
 	writing bool
 	attempt int
@@ -124,68 +99,76 @@ type fastReader struct {
 }
 
 func (r *fastReader) Read(ctx context.Context) (types.TSVal, error) {
+	a := &fastRead{r: r, acks: baseline.NewReports(r.Cfg().S)}
+	if err := r.Run(ctx, core.OpRead, a); err != nil {
+		return types.TSVal{}, err
+	}
+	return a.ret, nil
+}
+
+// fastRead is one READ of a fastReader.
+type fastRead struct {
+	core.Op
+	r    *fastReader
+	acks *baseline.Reports
+	ret  types.TSVal
+}
+
+func (a *fastRead) Start() wire.Msg {
+	r := a.r
 	r.attempt++
 	r.tsr++
-	for i := 0; i < r.cfg.S; i++ {
-		if r.writing {
-			r.conn.Send(transport.Object(types.ObjectID(i)), wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: r.tsr})
-		} else {
-			r.conn.Send(transport.Object(types.ObjectID(i)), wire.BaselineReadReq{Attempt: r.attempt})
-		}
+	if r.writing {
+		return wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: r.tsr}
 	}
-	acks := make(map[types.ObjectID]types.TSVal)
-	for len(acks) < r.cfg.RoundQuorum() {
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("lowerbound: candidate read: %w", err)
+	return wire.BaselineReadReq{Attempt: r.attempt}
+}
+
+func (a *fastRead) Step(m transport.Message) (wire.Msg, bool) {
+	var id types.ObjectID
+	var pair types.TSVal
+	switch ack := m.Payload.(type) {
+	case wire.BaselineReadAck:
+		if ack.Attempt != a.r.attempt {
+			return nil, false
 		}
-		switch ack := msg.Payload.(type) {
-		case wire.BaselineReadAck:
-			if ack.Attempt == r.attempt {
-				acks[ack.ObjectID] = types.TSVal{TS: ack.TS, Val: ack.Val.Clone()}
-			}
-		case wire.ReadAck:
-			if ack.TSR == r.tsr {
-				acks[ack.ObjectID] = ack.PW.Clone()
-			}
+		id, pair = ack.ObjectID, types.TSVal{TS: ack.TS, Val: ack.Val.Clone()}
+	case wire.ReadAck:
+		if ack.TSR != a.r.tsr {
+			return nil, false
 		}
+		id, pair = ack.ObjectID, ack.PW.Clone()
+	default:
+		return nil, false
 	}
-	return r.rule(r.cfg, acks), nil
+	if !core.FromObject(m, id, a.r.Cfg().S) {
+		return nil, false
+	}
+	a.Ack(1, id)
+	a.acks.Put(id, pair, pair)
+	if a.acks.Len() < a.r.Cfg().RoundQuorum() {
+		return nil, false
+	}
+	a.ret = a.r.rule(a.r.Cfg(), a.acks)
+	a.TS = a.ret.TS
+	return nil, true
 }
 
 // trustHighest returns the highest-timestamped pair seen — the naive
 // rule. It believes any single (possibly Byzantine) object, and run5
 // catches it returning a value that was never written.
-func trustHighest(_ quorum.Config, acks map[types.ObjectID]types.TSVal) types.TSVal {
-	best := types.InitTSVal()
-	for _, p := range acks {
-		if p.TS > best.TS {
-			best = p
-		}
-	}
-	return best
-}
+func trustHighest(_ quorum.Config, acks *baseline.Reports) types.TSVal { return acks.Highest() }
 
 // requireSupport returns the highest pair reported identically by at
 // least b+1 objects, and ⊥ otherwise — the rule that is correct at
-// S = 2t+2b+1 (see baseline.FastSafeReader). At S = 2t+2b the write
+// S = 2t+2b+1 (see baseline.NewFastSafeReader). At S = 2t+2b the write
 // quorum and the read quorum intersect in only b correct objects, and
 // run4 catches it returning ⊥ after a completed write.
-func requireSupport(cfg quorum.Config, acks map[types.ObjectID]types.TSVal) types.TSVal {
-	support := make(map[string]int)
-	pairs := make(map[string]types.TSVal)
-	for _, p := range acks {
-		k := fmt.Sprintf("%d|%s", p.TS, string(p.Val))
-		support[k]++
-		pairs[k] = p
+func requireSupport(cfg quorum.Config, acks *baseline.Reports) types.TSVal {
+	if best, ok := acks.Supported(cfg.SafeThreshold()); ok {
+		return best
 	}
-	best := types.InitTSVal()
-	for k, n := range support {
-		if n >= cfg.SafeThreshold() && pairs[k].TS > best.TS {
-			best = pairs[k]
-		}
-	}
-	return best
+	return types.InitTSVal()
 }
 
 // Candidates returns the one-round-read protocols the demonstrator
@@ -206,10 +189,10 @@ func Candidates() []Protocol {
 				return newPairObject(id, cfg.R)
 			},
 			NewWriter: func(cfg quorum.Config, conn transport.Conn) (WriterClient, error) {
-				return &oneRoundWriter{cfg: cfg, conn: conn}, nil
+				return baseline.NewWriter(cfg, conn), nil
 			},
 			NewReader: func(cfg quorum.Config, conn transport.Conn) (ReaderClient, error) {
-				return &fastReader{cfg: cfg, conn: conn, rule: rule, writing: writing}, nil
+				return &fastReader{Client: core.NewClient(cfg, conn), rule: rule, writing: writing}, nil
 			},
 		}
 	}

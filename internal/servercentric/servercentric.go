@@ -6,22 +6,26 @@
 //
 // The storage built here is the natural push protocol the section
 // sketches: the writer stores a timestamped pair at S−t servers in one
-// round; servers echo every adopted pair to their peers, so all correct
-// servers converge on the latest write; a reader subscribes once and
-// waits for pushed states until some pair at the highest timestamp is
-// vouched for by b+1 distinct servers (Byzantine servers cannot
-// fabricate that support). The Proposition 1 lower bound migrates to
-// this model for *fast* (one round-trip) reads — the paper notes a
-// tight algorithm needs a different metric and leaves it open; this
-// package provides the executable model and the E9 measurements.
+// round (baseline's one-round writer); servers echo every adopted pair
+// to their peers, so all correct servers converge on the latest write;
+// a reader subscribes once and absorbs pushed states until the
+// refute-or-support rule of the multi-round reader
+// (baseline.Reports.Decide) finds a pair that b+1 distinct servers
+// vouch for and nothing higher survives (Byzantine servers cannot
+// fabricate that support). Both clients are automata on the one driver
+// of internal/core, so E9 counts their rounds, messages and
+// acknowledgements as it counts the data-centric clients'; the only
+// receive loop here is the Server's. The Proposition 1 lower bound
+// migrates to this model for *fast* (one round-trip) reads — the paper
+// notes a tight algorithm needs a different metric and leaves it open;
+// this package provides the executable model and the E9 measurements.
 package servercentric
 
 import (
 	"context"
-	"fmt"
-	"sort"
 	"sync"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/quorum"
 	"repro/internal/transport"
@@ -142,58 +146,21 @@ func (s *Server) adopt(ts types.TS, val types.Value, echo bool) {
 	}
 }
 
-// Writer stores values in one round at S−t servers.
-type Writer struct {
-	cfg   quorum.Config
-	conn  transport.Conn
-	ts    types.TS
-	stats core.OpStats
-}
-
-// NewWriter returns the push-model writer.
-func NewWriter(cfg quorum.Config, conn transport.Conn) (*Writer, error) {
+// NewWriter returns the push-model writer: baseline's one-round writer,
+// which stores each pair at S−t servers (the echo propagation to the
+// rest happens server-side, off the writer's critical path).
+func NewWriter(cfg quorum.Config, conn transport.Conn) (*baseline.Writer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Writer{cfg: cfg, conn: conn}, nil
-}
-
-// LastStats returns the complexity record of the last completed WRITE.
-func (w *Writer) LastStats() core.OpStats { return w.stats }
-
-// Write stores v at S−t servers: one round (the echo propagation to the
-// rest happens server-side, off the writer's critical path).
-func (w *Writer) Write(ctx context.Context, v types.Value) error {
-	st := core.OpStats{Kind: core.OpWrite, Rounds: 1}
-	w.ts++
-	for i := 0; i < w.cfg.S; i++ {
-		w.conn.Send(transport.Object(types.ObjectID(i)), wire.BaselineWriteReq{TS: w.ts, Val: v.Clone()})
-		st.Sent++
-	}
-	acked := make(map[types.ObjectID]bool, w.cfg.RoundQuorum())
-	for len(acked) < w.cfg.RoundQuorum() {
-		msg, err := w.conn.Recv(ctx)
-		if err != nil {
-			return fmt.Errorf("servercentric: write ts=%d: %w", w.ts, err)
-		}
-		ack, ok := msg.Payload.(wire.BaselineWriteAck)
-		if !ok || ack.TS != w.ts || acked[ack.ObjectID] {
-			continue
-		}
-		acked[ack.ObjectID] = true
-		st.Acks++
-	}
-	w.stats = st
-	return nil
+	return baseline.NewWriter(cfg, conn), nil
 }
 
 // Reader reads with a single subscribe message and pushed replies: the
 // fastest possible operation shape in the server-centric model (§6).
 type Reader struct {
-	cfg   quorum.Config
-	conn  transport.Conn
-	seq   int64
-	stats core.OpStats
+	core.Client
+	seq int64
 }
 
 // NewReader returns the push-model reader.
@@ -201,94 +168,49 @@ func NewReader(cfg quorum.Config, conn transport.Conn) (*Reader, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Reader{cfg: cfg, conn: conn}, nil
+	return &Reader{Client: core.NewClient(cfg, conn)}, nil
 }
 
-// LastStats returns the complexity record of the last completed READ.
-func (r *Reader) LastStats() core.OpStats { return r.stats }
-
-// Read subscribes once and waits for pushes until the highest
-// timestamped pair has b+1 distinct supporters among at least S−t
-// distinct servers. Echo convergence guarantees termination: every
-// correct server eventually pushes the latest adopted pair.
+// Read subscribes once and absorbs pushes until S−t distinct servers
+// have pushed and baseline.Reports.Decide, the refute-or-support rule
+// of the multi-round reader, decides on the pushed pairs. Echo
+// convergence guarantees termination: every correct server eventually
+// pushes the latest adopted pair. The rule can never return a pair
+// older than the last completed write, and Byzantine fabrications above
+// it can only delay the decision, not mislead it.
 func (r *Reader) Read(ctx context.Context) (types.TSVal, error) {
-	st := core.OpStats{Kind: core.OpRead, Rounds: 1}
-	r.seq++
-	for i := 0; i < r.cfg.S; i++ {
-		r.conn.Send(transport.Object(types.ObjectID(i)), wire.SubscribeReq{Seq: r.seq})
-		st.Sent++
+	a := &readOp{r: r, reps: baseline.NewReports(r.Cfg().S)}
+	if err := r.Run(ctx, core.OpRead, a); err != nil {
+		return types.TSVal{}, err
 	}
-	latest := make(map[types.ObjectID]types.TSVal)
-	for {
-		msg, err := r.conn.Recv(ctx)
-		if err != nil {
-			return types.TSVal{}, fmt.Errorf("servercentric: read: %w", err)
-		}
-		push, ok := msg.Payload.(wire.PushState)
-		if !ok || push.Seq != r.seq {
-			continue
-		}
-		if msg.From.Kind != transport.KindObject || types.ObjectID(msg.From.Index) != push.ObjectID {
-			continue
-		}
-		st.Acks++
-		pair := types.TSVal{TS: push.TS, Val: push.Val.Clone()}
-		if cur, seen := latest[push.ObjectID]; !seen || pair.TS > cur.TS {
-			latest[push.ObjectID] = pair
-		}
-		if len(latest) < r.cfg.RoundQuorum() {
-			continue
-		}
-		if best, decided := decide(latest, r.cfg); decided {
-			r.stats = st
-			return best, nil
-		}
-	}
+	return a.ret, nil
 }
 
-// decide scans the pushed pairs from the highest timestamp down: a
-// candidate refuted by t+b+1 servers (all pushing strictly below it)
-// is skipped — it was never completely written; the first unrefuted
-// candidate is returned once b+1 servers vouch for it (that exact pair,
-// or any higher timestamp), and blocks the decision until then. ⟨0,⊥⟩
-// is returnable once everything above it is refuted. This is the same
-// refute-or-support scan as the core reader's predicates: it can never
-// return a pair older than the last completed write (its ≥ t+1 correct
-// holders can never be outnumbered into refutation), and Byzantine
-// fabrications above it can only delay, not mislead.
-func decide(latest map[types.ObjectID]types.TSVal, cfg quorum.Config) (types.TSVal, bool) {
-	cands := map[string]types.TSVal{"0|": types.InitTSVal()}
-	for _, p := range latest {
-		cands[fmt.Sprintf("%d|%s", p.TS, string(p.Val))] = p
+// readOp is one READ: a single subscribe round, then pushes.
+type readOp struct {
+	core.Op
+	r    *Reader
+	reps *baseline.Reports
+	ret  types.TSVal
+}
+
+func (a *readOp) Start() wire.Msg {
+	a.r.seq++
+	return wire.SubscribeReq{Seq: a.r.seq}
+}
+
+func (a *readOp) Step(m transport.Message) (wire.Msg, bool) {
+	push, ok := m.Payload.(wire.PushState)
+	if !ok || push.Seq != a.r.seq || !core.FromObject(m, push.ObjectID, a.r.Cfg().S) {
+		return nil, false
 	}
-	ordered := make([]types.TSVal, 0, len(cands))
-	for _, c := range cands {
-		ordered = append(ordered, c)
+	a.Ack(1, push.ObjectID)
+	pair := types.TSVal{TS: push.TS, Val: push.Val.Clone()}
+	a.reps.Put(push.ObjectID, pair, pair)
+	if a.reps.Len() < a.r.Cfg().RoundQuorum() {
+		return nil, false
 	}
-	sort.Slice(ordered, func(a, b int) bool { return ordered[a].TS > ordered[b].TS })
-	for _, c := range ordered {
-		refuters, witnesses := 0, 0
-		for _, p := range latest {
-			// Strictly below c, or the same timestamp with a different
-			// value (one value per timestamp under a correct writer),
-			// contradicts c.
-			if p.TS < c.TS || (p.TS == c.TS && !p.Equal(c)) {
-				refuters++
-			}
-			if p.Equal(c) || p.TS > c.TS {
-				witnesses++
-			}
-		}
-		if c.TS == 0 {
-			return c, true
-		}
-		if refuters >= cfg.InvalidThreshold() {
-			continue
-		}
-		if witnesses >= cfg.SafeThreshold() {
-			return c, true
-		}
-		return types.TSVal{}, false
-	}
-	return types.TSVal{}, false
+	a.ret, ok = a.reps.Decide(a.r.Cfg())
+	a.TS = a.ret.TS
+	return nil, ok
 }

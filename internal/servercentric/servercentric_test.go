@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/baseline"
 	"repro/internal/quorum"
 	"repro/internal/servercentric"
 	"repro/internal/transport"
@@ -108,7 +109,7 @@ func (f *forger) Stop() {
 	<-f.done
 }
 
-func (w *world) writer(t *testing.T) *servercentric.Writer {
+func (w *world) writer(t *testing.T) *baseline.Writer {
 	t.Helper()
 	conn, err := w.net.Register(transport.Writer())
 	if err != nil {
@@ -230,5 +231,35 @@ func TestPushEchoConvergence(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("servers did not converge; last read %v", got)
 		}
+	}
+}
+
+// TestWriteIgnoresForgedAcks: acknowledgements count only from the
+// server that sent them. Servers 0–2 are silent and the Byzantine
+// server 3 acknowledges the WRITE once in each of their names, so no
+// S−t genuine acknowledgements ever arrive and the WRITE must not
+// complete.
+func TestWriteIgnoresForgedAcks(t *testing.T) {
+	w := &world{cfg: quorum.Optimal(1, 1, 1), net: memnet.New()}
+	t.Cleanup(func() { w.net.Close() })
+	byz, err := w.net.Register(transport.Object(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		msg, err := byz.Recv(context.Background())
+		if err != nil {
+			return
+		}
+		req := msg.Payload.(wire.BaselineWriteReq)
+		for i := 0; i < 3; i++ {
+			byz.Send(msg.From, wire.BaselineWriteAck{ObjectID: types.ObjectID(i), TS: req.TS})
+		}
+	}()
+	wr := w.writer(t)
+	c, cancel := context.WithTimeout(ctx(t), 200*time.Millisecond)
+	defer cancel()
+	if err := wr.Write(c, types.Value("v")); err == nil {
+		t.Fatalf("WRITE completed on %d acknowledgements forged in other servers' names", wr.LastStats().Acks)
 	}
 }
