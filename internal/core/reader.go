@@ -141,7 +141,7 @@ func highestSafe(active []types.WTuple, safe func(types.WTuple) bool) (types.TSV
 	}
 	for _, c := range active {
 		if c.TSVal.TS == maxTS && safe(c) {
-			return c.TSVal.Clone(), true
+			return c.TSVal, true
 		}
 	}
 	return types.TSVal{}, false
@@ -233,6 +233,6 @@ func (a *readOp) finish(ret types.TSVal) bool {
 	if a.r.settle != nil {
 		ret = a.r.settle(ret)
 	}
-	a.ret, a.TS = ret, ret.TS
+	a.ret, a.TS = ret.Clone(), ret.TS // ret is shared with replies and the cache
 	return true
 }

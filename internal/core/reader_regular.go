@@ -60,9 +60,9 @@ func (r *RegularReader) Read(ctx context.Context) (types.TSVal, error) {
 // marker ⟨0,⊥⟩, returns the cache instead.
 func (r *RegularReader) settleCache(ret types.TSVal) types.TSVal {
 	if ret.TS > r.cache.TS {
-		r.cache = ret.Clone()
+		r.cache = ret
 	} else if r.optimized {
-		ret = r.cache.Clone()
+		ret = r.cache
 	}
 	return ret
 }
@@ -129,7 +129,7 @@ func (s *regularReadState) absorb(msg transport.Message) bool {
 	}
 	s.lastTSR[ack.ObjectID] = ack.TSR
 
-	h := ack.History.Clone()
+	h := ack.History
 	s.hist[ack.Round][ack.ObjectID] = h
 	if ack.Round == wire.Round1 {
 		for _, e := range h {
@@ -198,7 +198,7 @@ func (s *regularReadState) fastDecide() (types.TSVal, bool) {
 			}
 		}
 	}
-	return top.W.TSVal.Clone(), true
+	return top.W.TSVal, true
 }
 
 // repairHint picks the tuple the slow-path round 2 piggybacks: the
@@ -225,7 +225,7 @@ func (s *regularReadState) repairHint() (types.WTuple, bool) {
 	if best == nil {
 		return types.WTuple{}, false
 	}
-	return best.Clone(), true
+	return *best, true
 }
 
 // vouchers counts the round-1 histories holding c's complete entry.

@@ -81,7 +81,7 @@ func (s *safeReadState) absorb(msg transport.Message) bool {
 	if r.ok {
 		return false
 	}
-	*r = safeReply{ok: true, w: ack.W.Clone(), pw: ack.PW.Clone()}
+	*r = safeReply{ok: true, w: ack.W, pw: ack.PW}
 	if ack.Round == wire.Round1 {
 		s.respFirst.add(ack.ObjectID)
 	}
@@ -167,7 +167,7 @@ func (s *safeReadState) fastDecide() (types.TSVal, bool) {
 			return types.TSVal{}, false // forged matrix conflicts with us
 		}
 	}
-	return c.TSVal.Clone(), true
+	return c.TSVal, true
 }
 
 // repairHint picks the tuple the slow-path round 2 piggybacks: the
@@ -194,7 +194,7 @@ func (s *safeReadState) repairHint() (types.WTuple, bool) {
 	if best == nil {
 		return types.WTuple{}, false
 	}
-	return best.Clone(), true
+	return *best, true
 }
 
 // firstRW counts FirstRW(c): the objects that reported c in round 1.

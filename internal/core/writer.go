@@ -65,11 +65,11 @@ func (w *Writer) TS() types.TS { return w.ts }
 // hedging layer preserves liveness for free: a straggler re-driven
 // with PW(N+1) confirms N and contributes to N+1 with one reply.
 //
-// The one write that has no successor is completed by Flush; embedding
-// stores must flush a register's pending write before serving a READ
-// of the same register, or a read could miss a write that already
-// returned (per-writer timestamp order is preserved regardless, since
-// ts increments before each broadcast).
+// Flush completes the one write that has no successor, so a pipelined
+// WRITE is regular only for readers that share the writer's store and
+// its flush (the store flushes before each READ of the register); a
+// reader that does not flush can miss a write that already returned.
+// Per-writer timestamp order holds regardless: ts increments first.
 func (w *Writer) SetPipelined(on bool) { w.pipelined = on }
 
 // Pending returns the timestamp of the pipelined write whose
@@ -141,7 +141,7 @@ func (a *writeOp) Start() wire.Msg {
 	// inc(ts); pw := ⟨ts, v⟩; send PW⟨ts, pw, w⟩ to all.
 	w.ts++
 	a.TS = w.ts
-	a.pw = types.TSVal{TS: w.ts, Val: a.v.Clone()}
+	a.pw = types.TSVal{TS: w.ts, Val: a.v.Clone()} // the caller keeps v
 	a.tsr = types.NewTSRMatrix()
 	return wire.PWReq{TS: w.ts, PW: a.pw, W: w.last}
 }
@@ -161,18 +161,17 @@ func (a *writeOp) Step(m transport.Message) (wire.Msg, bool) {
 			a.trace.Ext(OpWrite, EvPipelinedAck, 1, ack.ObjectID, 0)
 		}
 		a.Ack(1, ack.ObjectID)
-		a.tsr[ack.ObjectID] = ack.TSR.Clone()
+		a.tsr[ack.ObjectID] = ack.TSR
 		if len(a.tsr) < q {
 			return nil, false
 		}
 		// w := ⟨pw, currenttsrarray⟩; send W⟨ts, pw, w⟩ to all.
-		tuple := types.WTuple{TSVal: a.pw.Clone(), TSR: a.tsr}
-		w.last = tuple.Clone()
+		w.last = types.WTuple{TSVal: a.pw, TSR: a.tsr}
 		w.pending = w.ts
 		a.tsr = nil
 		clear(a.acked)
 		a.unacked = w.pipelined
-		return wire.WReq{TS: w.ts, PW: a.pw, W: tuple}, w.pipelined
+		return wire.WReq{TS: w.ts, PW: a.pw, W: w.last}, w.pipelined
 	case wire.WAck:
 		if w.pending == 0 || ack.TS != w.pending || !FromObject(m, ack.ObjectID, w.cfg.S) || a.acked[ack.ObjectID] {
 			return nil, false

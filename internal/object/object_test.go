@@ -84,14 +84,37 @@ func TestSafeReadStoresReaderTimestamp(t *testing.T) {
 	}
 }
 
-func TestSafeReadReturnsClones(t *testing.T) {
-	o := NewSafe(0, 1)
-	o.Handle(anyNode, pw(1, "abc", types.InitWTuple()))
-	reply, _ := o.Handle(anyNode, wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: 1})
+// TestReadAckUnchangedByLaterWrites pins the objects' side of the
+// immutability contract (package types): a read ack shares the object's
+// values instead of copying them, so the object must replace its
+// fields and history entries on later writes, never edit them in place.
+func TestReadAckUnchangedByLaterWrites(t *testing.T) {
+	read := wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: 1}
+	m := types.TSRMatrix{0: types.TSRVector{0}}
+	later := func(h transport.Handler) {
+		h.Handle(anyNode, pw(2, "new", types.WTuple{TSVal: types.TSVal{TS: 1, Val: types.Value("abc")}, TSR: m}))
+		h.Handle(anyNode, wreq(2, "new", types.TSRMatrix{0: types.TSRVector{9}}))
+		rep := types.WTuple{TSVal: types.TSVal{TS: 3, Val: types.Value("rep")}, TSR: types.NewTSRMatrix()}
+		h.Handle(anyNode, wire.ReadReq{Round: wire.Round1, Reader: 0, TSR: 2, Repair: &rep})
+	}
+
+	s := NewSafe(0, 1)
+	s.Handle(anyNode, wreq(1, "abc", m))
+	reply, _ := s.Handle(anyNode, read)
 	ack := reply.(wire.ReadAck)
-	ack.PW.Val[0] = 'z'
-	if snap := o.Snapshot(); snap.PW.Val[0] != 'a' {
-		t.Error("read ack must not alias object state")
+	later(s)
+	if !ack.PW.Val.Equal(types.Value("abc")) || !ack.W.TSVal.Val.Equal(types.Value("abc")) || ack.W.TSR[0][0] != 0 {
+		t.Errorf("safe read ack changed under later writes: %+v", ack)
+	}
+
+	r := NewRegular(0, 1)
+	r.Handle(anyNode, pw(1, "abc", types.InitWTuple()))
+	r.Handle(anyNode, wreq(1, "abc", m))
+	reply, _ = r.Handle(anyNode, read)
+	h := reply.(wire.ReadAckHist).History
+	later(r)
+	if len(h) != 2 || !h[1].PW.Val.Equal(types.Value("abc")) || h[1].W.TSR[0][0] != 0 {
+		t.Errorf("regular read ack changed under later writes: %v", h)
 	}
 }
 

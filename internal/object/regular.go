@@ -1,6 +1,7 @@
 package object
 
 import (
+	"maps"
 	"sync"
 
 	"repro/internal/transport"
@@ -65,9 +66,9 @@ func (s *Regular) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// w′ is the complete tuple of the previous write, so it fills
 		// the ts′−1 slot even at objects the previous W round skipped.
 		if m.TS > s.ts {
-			s.history[m.TS] = types.HistEntry{PW: m.PW.Clone()}
-			w := m.W.Clone()
-			s.history[m.TS-1] = types.HistEntry{PW: w.TSVal.Clone(), W: &w}
+			w := m.W
+			s.history[m.TS] = types.HistEntry{PW: m.PW}
+			s.history[m.TS-1] = types.HistEntry{PW: w.TSVal, W: &w}
 			s.ts = m.TS
 			return wire.PWAck{ObjectID: s.id, TS: s.ts, TSR: s.tsr.Clone()}, true
 		}
@@ -76,8 +77,8 @@ func (s *Regular) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// upon W⟨ts′,pw′,w′⟩: if ts′ ≥ ts then history[ts′] := ⟨pw′,w′⟩.
 		if m.TS >= s.ts {
 			s.ts = m.TS
-			w := m.W.Clone()
-			s.history[m.TS] = types.HistEntry{PW: m.PW.Clone(), W: &w}
+			w := m.W
+			s.history[m.TS] = types.HistEntry{PW: m.PW, W: &w}
 			return wire.WAck{ObjectID: s.id, TS: s.ts}, true
 		}
 		return nil, false
@@ -97,8 +98,7 @@ func (s *Regular) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// laundered through this path.
 		if rep := m.Repair; rep != nil && rep.TSVal.TS >= s.ts {
 			s.ts = rep.TSVal.TS
-			w := rep.Clone()
-			s.history[w.TSVal.TS] = types.HistEntry{PW: w.TSVal.Clone(), W: &w}
+			s.history[rep.TSVal.TS] = types.HistEntry{PW: rep.TSVal, W: rep}
 		}
 		if m.TSR > s.tsr[j] {
 			s.tsr[j] = m.TSR
@@ -148,11 +148,11 @@ func (s *Regular) HistoryLen() int {
 	return len(s.history)
 }
 
-// HistoryBytes returns the encoded size of the retained history, the
-// storage-exhaustion metric of experiment E8.
+// HistoryBytes returns the encoded size of the retained history, a
+// storage measure beside E8's HistoryLen (only the map is copied).
 func (s *Regular) HistoryBytes() int {
 	s.mu.Lock()
-	h := s.history.Clone()
+	h := maps.Clone(s.history)
 	s.mu.Unlock()
 	return wire.CompactSize(wire.ReadAckHist{ObjectID: s.id, History: h})
 }

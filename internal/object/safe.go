@@ -57,8 +57,7 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// upon PW⟨ts′,pw′,w′⟩: if ts′ > ts then adopt and ack with tsr.
 		if m.TS > s.ts {
 			s.ts = m.TS
-			s.pw = m.PW.Clone()
-			s.w = m.W.Clone()
+			s.pw, s.w = m.PW, m.W
 			return wire.PWAck{ObjectID: s.id, TS: s.ts, TSR: s.tsr.Clone()}, true
 		}
 		return nil, false
@@ -66,8 +65,7 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// upon W⟨ts′,pw′,w′⟩: if ts′ ≥ ts then adopt and ack.
 		if m.TS >= s.ts {
 			s.ts = m.TS
-			s.pw = m.PW.Clone()
-			s.w = m.W.Clone()
+			s.pw, s.w = m.PW, m.W
 			return wire.WAck{ObjectID: s.id, TS: s.ts}, true
 		}
 		return nil, false
@@ -88,8 +86,7 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 		// duplicate.
 		if rep := m.Repair; rep != nil && rep.TSVal.TS >= s.ts {
 			s.ts = rep.TSVal.TS
-			s.pw = rep.TSVal.Clone()
-			s.w = rep.Clone()
+			s.pw, s.w = rep.TSVal, *rep
 		}
 		if m.TSR > s.tsr[j] {
 			s.tsr[j] = m.TSR
@@ -97,8 +94,8 @@ func (s *Safe) Handle(_ transport.NodeID, req wire.Msg) (wire.Msg, bool) {
 				ObjectID: s.id,
 				Round:    m.Round,
 				TSR:      s.tsr[j],
-				PW:       s.pw.Clone(),
-				W:        s.w.Clone(),
+				PW:       s.pw,
+				W:        s.w,
 			}, true
 		}
 		return nil, false

@@ -374,14 +374,14 @@ type conn struct {
 // ID returns the owning node's ID.
 func (c *conn) ID() transport.NodeID { return c.id }
 
-// Send enqueues payload as in-transit.
+// Send enqueues payload as in-transit; Step makes the hop's one copy.
 func (c *conn) Send(to transport.NodeID, payload wire.Msg) {
 	c.net.mu.Lock()
 	defer c.net.mu.Unlock()
 	if c.net.closed || c.closed {
 		return
 	}
-	c.net.enqueueLocked(c.id, to, wire.Clone(payload))
+	c.net.enqueueLocked(c.id, to, payload)
 }
 
 // Recv blocks until the simulator delivers a message to this client.

@@ -4,11 +4,14 @@
 // timestamp vectors and matrices, and the candidate tuples exchanged
 // between clients and base objects.
 //
-// All composite types have value semantics at package boundaries: Clone
-// performs a deep copy, and Equal compares by value. Byzantine
-// object implementations receive and return these types, so honest code
-// must never alias a slice or map obtained from an untrusted party;
-// cloning at the boundary is the rule throughout this repository.
+// Clone deep-copies and Equal compares by value, but protocol values are
+// shared, not copied: a TSVal, WTuple, TSRMatrix, HistEntry or received
+// History is never mutated once built or sent (code replaces map
+// entries, never edits one in place). Each hop makes exactly one
+// isolation copy (wire.Clone on memnet and simnet, the decode on
+// tcpnet); the public API makes two (the writer's copy of the caller's
+// Value, the reader's copy of the value it returns); and an object's
+// mutable state (its tsr vector and history map) leaves it only as a copy.
 package types
 
 import (
@@ -273,14 +276,14 @@ func (h History) Equal(o History) bool {
 	return true
 }
 
-// Suffix returns a deep copy of the entries with timestamp ≥ from: the
-// §5.1 optimization where objects ship only the portion of the history
-// above the reader's cached timestamp.
+// Suffix returns a fresh map sharing h's entries with timestamp ≥ from:
+// the §5.1 optimization where objects ship only the portion of the
+// history above the reader's cached timestamp.
 func (h History) Suffix(from TS) History {
 	out := make(History)
 	for ts, e := range h {
 		if ts >= from {
-			out[ts] = e.Clone()
+			out[ts] = e
 		}
 	}
 	return out

@@ -118,10 +118,18 @@ func TestHistorySuffix(t *testing.T) {
 	if _, ok := suf[2]; ok {
 		t.Error("suffix must exclude ts 2")
 	}
-	// Mutating the suffix must not affect the original.
-	suf[3].W.TSVal.Val[0] = 'z'
-	if h[3].W.TSVal.Val[0] != 'v' {
-		t.Error("Suffix must deep-copy entries")
+	// The map is fresh: inserting or deleting leaves h unchanged. The
+	// entries are shared, since they are immutable.
+	delete(suf, 4)
+	suf[9] = HistEntry{PW: TSVal{TS: 9, Val: Value("x")}}
+	if len(h) != 6 || h[4].W == nil {
+		t.Error("Suffix must return a map of its own")
+	}
+	if _, ok := h[9]; ok {
+		t.Error("an insert into the suffix reached the original")
+	}
+	if suf[3].W != h[3].W {
+		t.Error("Suffix must share entries, not copy them")
 	}
 	if h.MaxTS() != 5 {
 		t.Errorf("MaxTS = %d, want 5", h.MaxTS())
