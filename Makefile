@@ -11,10 +11,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs the vetstore suite (internal/analysis): custom analyzers that
-# mechanically enforce the repo's hand-maintained invariants — wire
-# message table exhaustiveness, sync.Pool buffer safety, transport lock
-# discipline, seeded determinism, and context threading. See the README's
-# "Static analysis" section.
+# mechanically enforce the repo's hand-maintained invariants — sync.Pool
+# buffer safety, transport lock discipline, seeded determinism, and
+# context threading. See the README's "Static analysis" section.
 lint:
 	$(GO) build -o bin/vetstore ./cmd/vetstore
 	$(GO) vet -vettool=$(abspath bin/vetstore) ./...

@@ -1,6 +1,5 @@
 // Command vetstore runs the repo's custom invariant analyzers (see
-// internal/analysis): wireexhaustive, poolsafe, lockdiscipline, seededdet
-// and ctxflow.
+// internal/analysis): poolsafe, lockdiscipline, seededdet and ctxflow.
 //
 // Two modes:
 //

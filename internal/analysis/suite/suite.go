@@ -8,12 +8,10 @@ import (
 	"repro/internal/analysis/lockdiscipline"
 	"repro/internal/analysis/poolsafe"
 	"repro/internal/analysis/seededdet"
-	"repro/internal/analysis/wireexhaustive"
 )
 
 // Analyzers is the full vetstore suite, in reporting order.
 var Analyzers = []*analysis.Analyzer{
-	wireexhaustive.Analyzer,
 	poolsafe.Analyzer,
 	lockdiscipline.Analyzer,
 	seededdet.Analyzer,

@@ -224,18 +224,6 @@ func TestRegularNoGCByDefault(t *testing.T) {
 	}
 }
 
-func TestRegularHistoryBytesGrow(t *testing.T) {
-	o := NewRegular(0, 1)
-	before := o.HistoryBytes()
-	for ts := types.TS(1); ts <= 20; ts++ {
-		o.Handle(anyNode, pw(ts, "some-payload-bytes", types.InitWTuple()))
-		o.Handle(anyNode, wreq(ts, "some-payload-bytes", types.NewTSRMatrix()))
-	}
-	if after := o.HistoryBytes(); after <= before {
-		t.Errorf("HistoryBytes did not grow: %d → %d", before, after)
-	}
-}
-
 func TestRegularStaleWriterTraffic(t *testing.T) {
 	o := NewRegular(0, 1)
 	o.Handle(anyNode, pw(5, "new", types.InitWTuple()))

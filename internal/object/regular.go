@@ -1,7 +1,6 @@
 package object
 
 import (
-	"maps"
 	"sync"
 
 	"repro/internal/transport"
@@ -146,15 +145,6 @@ func (s *Regular) HistoryLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.history)
-}
-
-// HistoryBytes returns the encoded size of the retained history, a
-// storage measure beside E8's HistoryLen (only the map is copied).
-func (s *Regular) HistoryBytes() int {
-	s.mu.Lock()
-	h := maps.Clone(s.history)
-	s.mu.Unlock()
-	return wire.CompactSize(wire.ReadAckHist{ObjectID: s.id, History: h})
 }
 
 // RegularSnapshot is a copy of a regular object's full state.

@@ -24,12 +24,14 @@ package wire
 //   - Decoding walks a cursor over the input and hands nested payloads
 //     to the recursive decoder as sub-slice views, copying only the
 //     leaf byte fields the decoded message must own.
-//   - EncodeCompact and CompactSize draw their scratch buffers from a
-//     sync.Pool; buffers are length-reset on reuse and never leak
-//     bytes between messages (pool_test.go pins this under -race).
+//   - Encoders come from a sync.Pool with their scratch buffers
+//     (AppendCompact swaps the caller's buffer in); buffers are
+//     length-reset on reuse and never leak bytes between messages
+//     (pool_test.go pins this under -race).
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -63,6 +65,7 @@ const (
 	_ // 20: the retired configuration envelope (now RegOp.Cfg)
 	tagConfigUpdate
 	tagBusy
+	tagEnd // one past the last tag; new tags go above tagBusy
 )
 
 // RegOp header flags: which optional header fields follow the register
@@ -94,14 +97,35 @@ const subLenWidth = 4
 // (2^28-1, comfortably above maxLen).
 const maxSubLen = 1<<(7*subLenWidth) - 1
 
-// enc is a little append-only writer with varint packing.
-type enc struct{ b []byte }
+// enc is a little append-only writer with varint packing; an error
+// sticks. Encoders come from encPool: a message's encode method is
+// called through the Msg interface, so an enc passed to it escapes to
+// the heap, and pooling it keeps AppendCompact allocation-free.
+type enc struct {
+	b   []byte
+	err error
+}
 
 // maxPooledBuf bounds the capacity retained by pooled encoder buffers:
 // a one-off giant state transfer must not pin its footprint forever.
 const maxPooledBuf = 1 << 16
 
 var encPool = sync.Pool{New: func() interface{} { return new(enc) }}
+
+// getEnc takes an encoder from the pool, reset to an empty buffer.
+func getEnc() *enc {
+	e := encPool.Get().(*enc)
+	e.b, e.err = e.b[:0], nil
+	return e
+}
+
+// putEnc returns an encoder to the pool unless its buffer has grown
+// past the retention cap.
+func putEnc(e *enc) {
+	if cap(e.b) <= maxPooledBuf {
+		encPool.Put(e)
+	}
+}
 
 func (e *enc) u(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
@@ -139,25 +163,32 @@ func (e *enc) beginNested() int {
 
 // endNested backfills the reserved prefix with the padded-uvarint length
 // of everything appended since beginNested.
-func (e *enc) endNested(start int) error {
+func (e *enc) endNested(start int) {
 	n := len(e.b) - start
 	if n > maxSubLen {
-		return fmt.Errorf("wire: nested payload %d bytes exceeds frame cap", n)
+		e.err = fmt.Errorf("wire: nested payload %d bytes exceeds frame cap", n)
+		return
 	}
 	e.b[start-4] = byte(n)&0x7f | 0x80
 	e.b[start-3] = byte(n>>7)&0x7f | 0x80
 	e.b[start-2] = byte(n>>14)&0x7f | 0x80
 	e.b[start-1] = byte(n >> 21)
-	return nil
+}
+
+// msg appends one tagged message.
+func (e *enc) msg(m Msg) {
+	if m == nil {
+		e.err = errors.New("wire: compact codec: nil message")
+		return
+	}
+	m.encode(e)
 }
 
 // nested encodes a wrapped message in place behind its length prefix.
-func (e *enc) nested(m Msg) error {
+func (e *enc) nested(m Msg) {
 	start := e.beginNested()
-	if err := e.msg(m); err != nil {
-		return err
-	}
-	return e.endNested(start)
+	e.msg(m)
+	e.endNested(start)
 }
 
 func (e *enc) tsval(tv types.TSVal) {
@@ -223,164 +254,195 @@ func (e *enc) history(h types.History) {
 	}
 }
 
-// msg appends one tagged message.
-func (e *enc) msg(m Msg) error {
-	switch v := m.(type) {
-	case PWReq:
-		e.byte(tagPWReq)
-		e.i(int64(v.TS))
-		e.tsval(v.PW)
-		e.wtuple(v.W)
-	case PWAck:
-		e.byte(tagPWAck)
-		e.i(int64(v.ObjectID))
-		e.i(int64(v.TS))
-		e.tsrVector(v.TSR)
-	case WReq:
-		e.byte(tagWReq)
-		e.i(int64(v.TS))
-		e.tsval(v.PW)
-		e.wtuple(v.W)
-	case WAck:
-		e.byte(tagWAck)
-		e.i(int64(v.ObjectID))
-		e.i(int64(v.TS))
-	case ReadReq:
-		e.byte(tagReadReq)
-		e.i(int64(v.Round))
-		e.i(int64(v.Reader))
-		e.i(int64(v.TSR))
-		e.i(int64(v.CacheTS))
-		if v.Repair == nil {
-			e.byte(0)
-		} else {
-			e.byte(1)
-			e.wtuple(*v.Repair)
-		}
-	case ReadAck:
-		e.byte(tagReadAck)
-		e.i(int64(v.ObjectID))
-		e.i(int64(v.Round))
-		e.i(int64(v.TSR))
-		e.tsval(v.PW)
-		e.wtuple(v.W)
-	case ReadAckHist:
-		e.byte(tagReadAckHist)
-		e.i(int64(v.ObjectID))
-		e.i(int64(v.Round))
-		e.i(int64(v.TSR))
-		e.history(v.History)
-	case BaselineWriteReq:
-		e.byte(tagBaselineWriteReq)
-		e.i(int64(v.TS))
-		e.optBytes(v.Val)
-		e.bytes(v.Sig)
-	case BaselineWriteAck:
-		e.byte(tagBaselineWriteAck)
-		e.i(int64(v.ObjectID))
-		e.i(int64(v.TS))
-	case BaselineReadReq:
-		e.byte(tagBaselineReadReq)
-		e.i(int64(v.Attempt))
-		e.i(int64(v.Reader))
-	case BaselineReadAck:
-		e.byte(tagBaselineReadAck)
-		e.i(int64(v.ObjectID))
-		e.i(int64(v.Attempt))
-		e.i(int64(v.TS))
-		e.optBytes(v.Val)
-		e.bytes(v.Sig)
-	case PairsReadAck:
-		e.byte(tagPairsReadAck)
-		e.i(int64(v.ObjectID))
-		e.i(int64(v.Attempt))
-		e.tsval(v.PW)
-		e.tsval(v.W)
-	case SubscribeReq:
-		e.byte(tagSubscribeReq)
-		e.i(int64(v.Reader))
-		e.i(v.Seq)
-	case PushState:
-		e.byte(tagPushState)
-		e.i(int64(v.ObjectID))
-		e.i(v.Seq)
-		e.i(int64(v.TS))
-		e.optBytes(v.Val)
-		if v.Echo {
-			e.byte(1)
-		} else {
-			e.byte(0)
-		}
-	case RegOp:
-		e.byte(tagRegOp)
-		e.str(v.Reg)
-		var flags byte
-		if v.Op != 0 {
-			flags |= hdrTraced
-		}
-		inc, hasInc := v.Inc.Get()
-		if hasInc {
-			flags |= hdrInc
-		}
-		cfg, hasCfg := v.Cfg.Get()
-		if hasCfg {
-			flags |= hdrCfg
-		}
-		e.byte(flags)
-		if v.Op != 0 {
-			e.u(v.Op)
-		}
-		if hasInc {
-			e.u(uint64(inc))
-		}
-		if hasCfg {
-			e.u(uint64(cfg))
-		}
-		return e.nested(v.Msg)
-	case Batch:
-		e.byte(tagBatch)
-		e.u(uint64(len(v.Ops)))
-		for _, op := range v.Ops {
-			if err := e.nested(op); err != nil {
-				return err
-			}
-		}
-	case StateReq:
-		e.byte(tagStateReq)
-		e.i(v.Seq)
-		e.i(int64(v.Requester))
-	case StateResp:
-		e.byte(tagStateResp)
-		e.i(int64(v.ObjectID))
-		e.i(v.Seq)
-		e.i(v.Incarnation)
-		e.u(uint64(len(v.Regs)))
-		for _, rs := range v.Regs {
-			e.str(rs.Reg)
-			e.i(int64(rs.TS))
-			e.history(rs.History)
-			e.tsrVector(rs.TSR)
-		}
-	case Busy:
-		e.byte(tagBusy)
-		e.u(uint64(len(v.Ops)))
-		for _, ref := range v.Ops {
-			e.str(ref.Reg)
-			e.u(ref.Op)
-		}
-	case ConfigUpdate:
-		e.byte(tagConfigUpdate)
-		e.i(v.Shard)
-		e.i(v.Epoch)
-		e.u(uint64(len(v.Members)))
-		for _, m := range v.Members {
-			e.i(m)
-		}
-		e.bytes(v.Sig)
-	default:
-		return fmt.Errorf("wire: compact codec: unknown message %T", m)
+// The message encoders, in tag order.
+
+func (v PWReq) encode(e *enc) {
+	e.byte(tagPWReq)
+	e.i(int64(v.TS))
+	e.tsval(v.PW)
+	e.wtuple(v.W)
+}
+
+func (v PWAck) encode(e *enc) {
+	e.byte(tagPWAck)
+	e.i(int64(v.ObjectID))
+	e.i(int64(v.TS))
+	e.tsrVector(v.TSR)
+}
+
+func (v WReq) encode(e *enc) {
+	e.byte(tagWReq)
+	e.i(int64(v.TS))
+	e.tsval(v.PW)
+	e.wtuple(v.W)
+}
+
+func (v WAck) encode(e *enc) {
+	e.byte(tagWAck)
+	e.i(int64(v.ObjectID))
+	e.i(int64(v.TS))
+}
+
+func (v ReadReq) encode(e *enc) {
+	e.byte(tagReadReq)
+	e.i(int64(v.Round))
+	e.i(int64(v.Reader))
+	e.i(int64(v.TSR))
+	e.i(int64(v.CacheTS))
+	if v.Repair == nil {
+		e.byte(0)
+	} else {
+		e.byte(1)
+		e.wtuple(*v.Repair)
 	}
-	return nil
+}
+
+func (v ReadAck) encode(e *enc) {
+	e.byte(tagReadAck)
+	e.i(int64(v.ObjectID))
+	e.i(int64(v.Round))
+	e.i(int64(v.TSR))
+	e.tsval(v.PW)
+	e.wtuple(v.W)
+}
+
+func (v ReadAckHist) encode(e *enc) {
+	e.byte(tagReadAckHist)
+	e.i(int64(v.ObjectID))
+	e.i(int64(v.Round))
+	e.i(int64(v.TSR))
+	e.history(v.History)
+}
+
+func (v BaselineWriteReq) encode(e *enc) {
+	e.byte(tagBaselineWriteReq)
+	e.i(int64(v.TS))
+	e.optBytes(v.Val)
+	e.bytes(v.Sig)
+}
+
+func (v BaselineWriteAck) encode(e *enc) {
+	e.byte(tagBaselineWriteAck)
+	e.i(int64(v.ObjectID))
+	e.i(int64(v.TS))
+}
+
+func (v BaselineReadReq) encode(e *enc) {
+	e.byte(tagBaselineReadReq)
+	e.i(int64(v.Attempt))
+	e.i(int64(v.Reader))
+}
+
+func (v BaselineReadAck) encode(e *enc) {
+	e.byte(tagBaselineReadAck)
+	e.i(int64(v.ObjectID))
+	e.i(int64(v.Attempt))
+	e.i(int64(v.TS))
+	e.optBytes(v.Val)
+	e.bytes(v.Sig)
+}
+
+func (v PairsReadAck) encode(e *enc) {
+	e.byte(tagPairsReadAck)
+	e.i(int64(v.ObjectID))
+	e.i(int64(v.Attempt))
+	e.tsval(v.PW)
+	e.tsval(v.W)
+}
+
+func (v SubscribeReq) encode(e *enc) {
+	e.byte(tagSubscribeReq)
+	e.i(int64(v.Reader))
+	e.i(v.Seq)
+}
+
+func (v PushState) encode(e *enc) {
+	e.byte(tagPushState)
+	e.i(int64(v.ObjectID))
+	e.i(v.Seq)
+	e.i(int64(v.TS))
+	e.optBytes(v.Val)
+	if v.Echo {
+		e.byte(1)
+	} else {
+		e.byte(0)
+	}
+}
+
+func (v RegOp) encode(e *enc) {
+	e.byte(tagRegOp)
+	e.str(v.Reg)
+	var flags byte
+	if v.Op != 0 {
+		flags |= hdrTraced
+	}
+	inc, hasInc := v.Inc.Get()
+	if hasInc {
+		flags |= hdrInc
+	}
+	cfg, hasCfg := v.Cfg.Get()
+	if hasCfg {
+		flags |= hdrCfg
+	}
+	e.byte(flags)
+	if v.Op != 0 {
+		e.u(v.Op)
+	}
+	if hasInc {
+		e.u(uint64(inc))
+	}
+	if hasCfg {
+		e.u(uint64(cfg))
+	}
+	e.nested(v.Msg)
+}
+
+func (v Batch) encode(e *enc) {
+	e.byte(tagBatch)
+	e.u(uint64(len(v.Ops)))
+	for _, op := range v.Ops {
+		e.nested(op)
+	}
+}
+
+func (v StateReq) encode(e *enc) {
+	e.byte(tagStateReq)
+	e.i(v.Seq)
+	e.i(int64(v.Requester))
+}
+
+func (v StateResp) encode(e *enc) {
+	e.byte(tagStateResp)
+	e.i(int64(v.ObjectID))
+	e.i(v.Seq)
+	e.i(v.Incarnation)
+	e.u(uint64(len(v.Regs)))
+	for _, rs := range v.Regs {
+		e.str(rs.Reg)
+		e.i(int64(rs.TS))
+		e.history(rs.History)
+		e.tsrVector(rs.TSR)
+	}
+}
+
+func (v ConfigUpdate) encode(e *enc) {
+	e.byte(tagConfigUpdate)
+	e.i(v.Shard)
+	e.i(v.Epoch)
+	e.u(uint64(len(v.Members)))
+	for _, m := range v.Members {
+		e.i(m)
+	}
+	e.bytes(v.Sig)
+}
+
+func (v Busy) encode(e *enc) {
+	e.byte(tagBusy)
+	e.u(uint64(len(v.Ops)))
+	for _, ref := range v.Ops {
+		e.str(ref.Reg)
+		e.u(ref.Op)
+	}
 }
 
 // AppendCompact serializes a message with the compact codec, appending
@@ -388,35 +450,31 @@ func (e *enc) msg(m Msg) error {
 // hold a reusable scratch buffer (one per connection, or drawn from a
 // pool) encode without allocating (see the sort-buffer note above).
 func AppendCompact(dst []byte, m Msg) ([]byte, error) {
-	e := enc{b: dst}
-	if err := e.msg(m); err != nil {
+	e := getEnc()
+	own := e.b
+	e.b = dst
+	e.msg(m)
+	out, err := e.b, e.err
+	e.b = own // the pooled encoder keeps its own buffer, not dst
+	putEnc(e)
+	if err != nil {
 		return dst, err
 	}
-	return e.b, nil
+	return out, nil
 }
 
 // EncodeCompact serializes a message with the compact codec into a
 // fresh, caller-owned buffer. The working buffer comes from a pool, so
 // the only allocation is the exact-size result.
 func EncodeCompact(m Msg) ([]byte, error) {
-	e := encPool.Get().(*enc)
-	e.b = e.b[:0]
-	if err := e.msg(m); err != nil {
-		putEnc(e)
+	e := getEnc()
+	e.msg(m)
+	out, err := slices.Clone(e.b), e.err
+	putEnc(e)
+	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(e.b))
-	copy(out, e.b)
-	putEnc(e)
 	return out, nil
-}
-
-// putEnc returns an encoder to the pool unless its buffer has grown
-// past the retention cap.
-func putEnc(e *enc) {
-	if cap(e.b) <= maxPooledBuf {
-		encPool.Put(e)
-	}
 }
 
 // dec is the matching reader: a cursor over the frame; the first error
@@ -639,7 +697,7 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 	case tagPushState:
 		m = PushState{ObjectID: types.ObjectID(d.i()), Seq: d.i(), TS: types.TS(d.i()), Val: d.optBytes(), Echo: d.byte() == 1}
 	case tagRegOp:
-		reg := string(d.bytesN())
+		reg := string(d.view())
 		flags := d.byte()
 		if d.err == nil && flags&^hdrKnown != 0 {
 			d.err = fmt.Errorf("wire: unknown header flags %#x", flags)
@@ -691,7 +749,7 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 		n := d.count("busy notice")
 		refs := make([]OpRef, 0, min(n, 1024))
 		for i := 0; i < n && d.err == nil; i++ {
-			refs = append(refs, OpRef{Reg: string(d.bytesN()), Op: d.u()})
+			refs = append(refs, OpRef{Reg: string(d.view()), Op: d.u()})
 		}
 		m = Busy{Ops: refs}
 	case tagStateReq:
@@ -701,7 +759,7 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 		n := d.count("state resp")
 		resp.Regs = make([]RegState, 0, min(n, 1024))
 		for i := 0; i < n && d.err == nil; i++ {
-			rs := RegState{Reg: string(d.bytesN()), TS: types.TS(d.i())}
+			rs := RegState{Reg: string(d.view()), TS: types.TS(d.i())}
 			rs.History = d.history()
 			rs.TSR = d.tsrVector()
 			resp.Regs = append(resp.Regs, rs)
@@ -724,10 +782,9 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 // well-formed payloads). The measurement runs on a pooled buffer and
 // allocates nothing.
 func CompactSize(m Msg) int {
-	e := encPool.Get().(*enc)
-	e.b = e.b[:0]
-	err := e.msg(m)
-	n := len(e.b)
+	e := getEnc()
+	e.msg(m)
+	n, err := len(e.b), e.err
 	putEnc(e)
 	if err != nil {
 		return math.MaxInt

@@ -152,6 +152,43 @@ func TestDecodeDoesNotRetainInput(t *testing.T) {
 	}
 }
 
+// TestAppendCompactAllocatesNothing pins the zero-alloc encode contract
+// (README, binary.go) for every message type: appending into a reused
+// buffer allocates nothing, although each message encodes through an
+// interface method that would move a stack encoder to the heap.
+func TestAppendCompactAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool puts at random")
+	}
+	buf := make([]byte, 0, 4096)
+	for _, m := range sampleMsgs() {
+		var err error
+		allocs := testing.AllocsPerRun(100, func() { buf, err = AppendCompact(buf[:0], m) })
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		if allocs != 0 {
+			t.Errorf("AppendCompact(%T) allocates %.1f times per call, want 0", m, allocs)
+		}
+	}
+}
+
+// TestDecodeRegOpAllocs pins the register name's single copy: decoding a
+// RegOp{WAck} allocates the name string and boxes the two messages.
+func TestDecodeRegOpAllocs(t *testing.T) {
+	data, err := EncodeCompact(RegOp{Reg: "users/42", Op: 7, Msg: WAck{ObjectID: 1, TS: 9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() { _, err = DecodeCompact(data) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 3 {
+		t.Errorf("DecodeCompact(RegOp{WAck}) allocates %.1f times, want 3", allocs)
+	}
+}
+
 func BenchmarkCompactEncodeRegOp(b *testing.B) {
 	m := RegOp{Reg: "r1", Msg: WReq{
 		TS: 42,

@@ -10,17 +10,26 @@
 // compact codec of binary.go, which the TCP transport frames with and
 // every byte-volume figure (internal/stats, E7, E8) is measured in.
 //
-// Adding a message type means updating three places, and the
-// wireexhaustive analyzer (internal/analysis/wireexhaustive, run by
-// `make lint`) flags any that are missed: declare the type with an
-// isMsg method, add a tag<Type> constant and codec arms in binary.go,
-// and add the type to every type switch over Msg.
+// The message set is closed and the compiler holds it: Msg's methods,
+// clone and encode, are unexported, so only this package's types are
+// messages, and a type missing either is not a Msg — every use of it as
+// one fails to compile. Adding a message means its two methods, a tag
+// below tagEnd with a decode arm in binary.go, and an entry in the
+// tests' sampleMsgs; TestEveryTagRoundTrips fails on a tag without a
+// decode arm or a sample.
 package wire
 
-import "repro/internal/types"
+import (
+	"slices"
+
+	"repro/internal/types"
+)
 
 // Msg is any protocol message payload.
-type Msg interface{ isMsg() }
+type Msg interface {
+	clone() Msg    // a deep copy (see Clone)
+	encode(e *enc) // append the tagged compact encoding (binary.go)
+}
 
 // Round identifies a read round: 1 for READ1, 2 for READ2.
 type Round int
@@ -211,11 +220,8 @@ func (s Stamp) Get() (int64, bool) { return int64(s) - 1, s != 0 }
 // of its traced RegOps (a bare one, or the ops of a Batch) or of the
 // ops a Busy notice bounces. Untraced ops (Op == 0) are skipped. The
 // fault and transport layers use it to attribute a drop/delay/busy
-// verdict to the victim ops. Implemented as an assertion chain rather
-// than a type switch: it is a deliberately partial view over the
-// message set (leaf messages carry no trace context), which a type
-// switch over Msg would misrepresent to the wireexhaustive analyzer as
-// a forgotten case list.
+// verdict to the victim ops. It is a deliberately partial view over
+// the message set: leaf messages carry no trace context.
 func OpIDs(msg Msg, acc []uint64) []uint64 {
 	if v, ok := msg.(RegOp); ok && v.Op != 0 {
 		return append(acc, v.Op)
@@ -373,87 +379,58 @@ type PushState struct {
 	Echo     bool // true when relayed between servers
 }
 
-func (PWReq) isMsg()            {}
-func (PWAck) isMsg()            {}
-func (WReq) isMsg()             {}
-func (WAck) isMsg()             {}
-func (ReadReq) isMsg()          {}
-func (ReadAck) isMsg()          {}
-func (ReadAckHist) isMsg()      {}
-func (BaselineWriteReq) isMsg() {}
-func (BaselineWriteAck) isMsg() {}
-func (BaselineReadReq) isMsg()  {}
-func (BaselineReadAck) isMsg()  {}
-func (PairsReadAck) isMsg()     {}
-func (SubscribeReq) isMsg()     {}
-func (PushState) isMsg()        {}
-func (RegOp) isMsg()            {}
-func (Batch) isMsg()            {}
-func (StateReq) isMsg()         {}
-func (StateResp) isMsg()        {}
-func (ConfigUpdate) isMsg()     {}
-func (Busy) isMsg()             {}
-
 // Clone deep-copies a message so transports can hand independent copies
 // to receivers. Byzantine handlers receive clones and cannot mutate
-// honest state through shared slices or maps.
+// honest state through shared slices or maps. Clone(nil) is nil.
 func Clone(m Msg) Msg {
-	switch v := m.(type) {
-	case PWReq:
-		return PWReq{TS: v.TS, PW: v.PW.Clone(), W: v.W.Clone()}
-	case PWAck:
-		return PWAck{ObjectID: v.ObjectID, TS: v.TS, TSR: v.TSR.Clone()}
-	case WReq:
-		return WReq{TS: v.TS, PW: v.PW.Clone(), W: v.W.Clone()}
-	case WAck:
-		return v
-	case ReadReq:
-		if v.Repair != nil {
-			rep := v.Repair.Clone()
-			v.Repair = &rep
-		}
-		return v
-	case ReadAck:
-		return ReadAck{ObjectID: v.ObjectID, Round: v.Round, TSR: v.TSR, PW: v.PW.Clone(), W: v.W.Clone()}
-	case ReadAckHist:
-		return ReadAckHist{ObjectID: v.ObjectID, Round: v.Round, TSR: v.TSR, History: v.History.Clone()}
-	case BaselineWriteReq:
-		return BaselineWriteReq{TS: v.TS, Val: v.Val.Clone(), Sig: append([]byte(nil), v.Sig...)}
-	case BaselineWriteAck:
-		return v
-	case BaselineReadReq:
-		return v
-	case BaselineReadAck:
-		return BaselineReadAck{ObjectID: v.ObjectID, Attempt: v.Attempt, TS: v.TS, Val: v.Val.Clone(), Sig: append([]byte(nil), v.Sig...)}
-	case PairsReadAck:
-		return PairsReadAck{ObjectID: v.ObjectID, Attempt: v.Attempt, PW: v.PW.Clone(), W: v.W.Clone()}
-	case SubscribeReq:
-		return v
-	case PushState:
-		return PushState{ObjectID: v.ObjectID, Seq: v.Seq, TS: v.TS, Val: v.Val.Clone(), Echo: v.Echo}
-	case RegOp:
-		v.Msg = Clone(v.Msg) // the header fields are plain values
-		return v
-	case Batch:
-		ops := make([]Msg, len(v.Ops))
-		for i, op := range v.Ops {
-			ops[i] = Clone(op)
-		}
-		return Batch{Ops: ops}
-	case StateReq:
-		return v
-	case StateResp:
-		regs := make([]RegState, len(v.Regs))
-		for i, rs := range v.Regs {
-			regs[i] = rs.Clone()
-		}
-		return StateResp{ObjectID: v.ObjectID, Seq: v.Seq, Incarnation: v.Incarnation, Regs: regs}
-	case ConfigUpdate:
-		return v.Clone()
-	case Busy:
-		return Busy{Ops: append([]OpRef(nil), v.Ops...)}
-	default:
-		// Unknown payloads only arise from test doubles; pass through.
-		return m
+	if m == nil {
+		return nil
 	}
+	return m.clone()
+}
+
+// The message clones: plain fields copy with the receiver; each slice,
+// map and pointer field is replaced by a deep copy.
+
+func (v PWReq) clone() Msg            { v.PW, v.W = v.PW.Clone(), v.W.Clone(); return v }
+func (v PWAck) clone() Msg            { v.TSR = v.TSR.Clone(); return v }
+func (v WReq) clone() Msg             { v.PW, v.W = v.PW.Clone(), v.W.Clone(); return v }
+func (v WAck) clone() Msg             { return v }
+func (v ReadAck) clone() Msg          { v.PW, v.W = v.PW.Clone(), v.W.Clone(); return v }
+func (v ReadAckHist) clone() Msg      { v.History = v.History.Clone(); return v }
+func (v BaselineWriteReq) clone() Msg { v.Val, v.Sig = v.Val.Clone(), slices.Clone(v.Sig); return v }
+func (v BaselineWriteAck) clone() Msg { return v }
+func (v BaselineReadReq) clone() Msg  { return v }
+func (v BaselineReadAck) clone() Msg  { v.Val, v.Sig = v.Val.Clone(), slices.Clone(v.Sig); return v }
+func (v PairsReadAck) clone() Msg     { v.PW, v.W = v.PW.Clone(), v.W.Clone(); return v }
+func (v SubscribeReq) clone() Msg     { return v }
+func (v PushState) clone() Msg        { v.Val = v.Val.Clone(); return v }
+func (v RegOp) clone() Msg            { v.Msg = Clone(v.Msg); return v }
+func (v StateReq) clone() Msg         { return v }
+func (v ConfigUpdate) clone() Msg     { return v.Clone() }
+func (v Busy) clone() Msg             { v.Ops = slices.Clone(v.Ops); return v }
+
+func (v ReadReq) clone() Msg {
+	if v.Repair != nil {
+		rep := v.Repair.Clone()
+		v.Repair = &rep
+	}
+	return v
+}
+
+func (v Batch) clone() Msg {
+	ops := make([]Msg, len(v.Ops))
+	for i, op := range v.Ops {
+		ops[i] = Clone(op)
+	}
+	return Batch{Ops: ops}
+}
+
+func (v StateResp) clone() Msg {
+	regs := make([]RegState, len(v.Regs))
+	for i, rs := range v.Regs {
+		regs[i] = rs.Clone()
+	}
+	v.Regs = regs
+	return v
 }

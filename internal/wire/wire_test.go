@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,6 +49,7 @@ func sampleMsgs() []Msg {
 			{Reg: "users/42", TS: 7, History: h, TSR: types.TSRVector{1, 0}},
 			{Reg: "empty", History: types.NewHistory(), TSR: types.NewTSRVector(2)},
 		}},
+		ConfigUpdate{Shard: 1, Epoch: 4, Members: []int64{0, 9, 2, 3}, Sig: []byte{0xde, 0xad}},
 	}
 }
 
@@ -73,32 +75,77 @@ func TestCompactSizeGrowsWithHistory(t *testing.T) {
 	}
 }
 
+// TestCloneIsDeepForAllTypes clones every sample, then overwrites every
+// byte and integer of the original, including all it reaches through
+// slices, pointers, maps and nested messages: the clone's encoding must
+// not move.
 func TestCloneIsDeepForAllTypes(t *testing.T) {
-	for _, m := range sampleMsgs() {
+	for i := range sampleMsgs() {
+		m := sampleMsgs()[i] // fresh: the samples share payloads
 		c := Clone(m)
 		if reflect.TypeOf(c) != reflect.TypeOf(m) {
 			t.Fatalf("Clone changed type: %T → %T", m, c)
 		}
+		want := mustEncode(t, c)
+		orig := mustEncode(t, m)
+		scribble(reflect.ValueOf(&m).Elem())
+		if bytes.Equal(mustEncode(t, m), orig) {
+			t.Fatalf("scribble left %T unchanged", m)
+		}
+		if got := mustEncode(t, c); !bytes.Equal(got, want) {
+			t.Errorf("Clone(%T) shares memory with the original:\n  before: %x\n  after:  %x", m, want, got)
+		}
 	}
-	// Spot-check aliasing on the mutable payloads.
-	orig := sampleMsgs()[0].(PWReq)
-	c := Clone(orig).(PWReq)
-	c.W.TSR[0][0] = 99
-	c.PW.Val[0] = 'z'
-	if orig.W.TSR[0][0] == 99 || orig.PW.Val[0] == 'z' {
-		t.Error("Clone(PWReq) must deep-copy")
+	if Clone(nil) != nil {
+		t.Error("Clone(nil) must be nil")
 	}
-	rrOrig := sampleMsgs()[4].(ReadReq)
-	rc := Clone(rrOrig).(ReadReq)
-	rc.Repair.TSVal.Val[0] = 'z'
-	if rrOrig.Repair.TSVal.Val[0] == 'z' {
-		t.Error("Clone(ReadReq) must deep-copy the repair hint")
+}
+
+func mustEncode(t *testing.T, m Msg) []byte {
+	t.Helper()
+	data, err := EncodeCompact(m)
+	if err != nil {
+		t.Fatalf("encode %T: %v", m, err)
 	}
-	hOrig := sampleMsgs()[6].(ReadAckHist)
-	hc := Clone(hOrig).(ReadAckHist)
-	hc.History[7].W.TSVal.Val[0] = 'z'
-	if hOrig.History[7].W.TSVal.Val[0] == 'z' {
-		t.Error("Clone(ReadAckHist) must deep-copy the history")
+	return data
+}
+
+// scribble overwrites every integer and byte reachable from the
+// addressable v with a constant. Interface and map values are not addressable, so they
+// are copied, scribbled and stored back.
+func scribble(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(-0x5a5a)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(0xa5)
+	case reflect.Pointer:
+		if !v.IsNil() {
+			scribble(v.Elem())
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			cp := reflect.New(v.Elem().Type()).Elem()
+			cp.Set(v.Elem())
+			scribble(cp)
+			v.Set(cp)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			scribble(v.Field(i))
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			scribble(v.Index(i))
+		}
+	case reflect.Map:
+		iter := v.MapRange()
+		for iter.Next() {
+			cp := reflect.New(v.Type().Elem()).Elem()
+			cp.Set(iter.Value())
+			scribble(cp)
+			v.SetMapIndex(iter.Key(), cp)
+		}
 	}
 }
 
