@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fmt fmt-check bench bench-gate demo chaos chaos-recovery chaos-membership chaos-saturation chaos-telemetry clean
+.PHONY: all build vet lint test race fuzz fmt fmt-check bench bench-gate demo chaos chaos-recovery chaos-membership chaos-saturation chaos-telemetry clean
 
 all: build vet lint test
 
@@ -27,6 +27,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz runs the compact decoder's fuzz target — the decoder is what
+# Byzantine peers feed — seeded from every sample message's encoding.
+# CI calls this target, so a local run fuzzes the same way.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeCompact$$' -fuzztime 30s ./internal/wire
 
 fmt:
 	gofmt -w .

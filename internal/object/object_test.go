@@ -1,7 +1,9 @@
 package object
 
 import (
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/transport"
 	"repro/internal/types"
@@ -235,5 +237,52 @@ func TestRegularStaleWriterTraffic(t *testing.T) {
 	}
 	if _, ok := o.Handle(anyNode, wreq(5, "new", types.NewTSRMatrix())); !ok {
 		t.Error("W with equal ts must be accepted")
+	}
+}
+
+// TestInstalledEntriesHoldOneBuffer follows a writer's PW and W
+// messages across a hop (wire.Clone as on memnet, the codec as on
+// tcpnet) into a regular object: every complete entry it then holds,
+// whether installed from a WReq or backfilled from a PWReq, keeps its
+// value once — PW.Val is W.TSVal.Val's buffer.
+func TestInstalledEntriesHoldOneBuffer(t *testing.T) {
+	hops := map[string]func(wire.Msg) wire.Msg{
+		"clone": wire.Clone,
+		"codec": func(m wire.Msg) wire.Msg {
+			data, err := wire.EncodeCompact(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back, err := wire.DecodeCompact(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return back
+		},
+	}
+	for name, hop := range hops {
+		o := NewRegular(0, 1)
+		last := types.InitWTuple()
+		for ts := types.TS(1); ts <= 4; ts++ {
+			pair := types.TSVal{TS: ts, Val: types.Value(strings.Repeat("v", 64*int(ts)))}
+			o.Handle(anyNode, hop(wire.PWReq{TS: ts, PW: pair, W: last}))
+			last = types.WTuple{TSVal: pair, TSR: types.TSRMatrix{0: types.TSRVector{types.ReaderTS(ts)}}}
+			if ts != 3 { // write 3's W is lost: write 4's PW backfills it
+				o.Handle(anyNode, hop(wire.WReq{TS: ts, PW: pair, W: last}))
+			}
+		}
+		complete := 0
+		for ts, e := range o.history {
+			if e.W == nil || len(e.PW.Val) == 0 {
+				continue
+			}
+			complete++
+			if unsafe.SliceData(e.PW.Val) != unsafe.SliceData(e.W.TSVal.Val) {
+				t.Errorf("%s: history[%d] holds its value in two buffers", name, ts)
+			}
+		}
+		if complete != 4 {
+			t.Errorf("%s: %d complete entries with a value, want 4", name, complete)
+		}
 	}
 }

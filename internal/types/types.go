@@ -12,6 +12,12 @@
 // tcpnet); the public API makes two (the writer's copy of the caller's
 // Value, the reader's copy of the value it returns); and an object's
 // mutable state (its tsr vector and history map) leaves it only as a copy.
+//
+// Sharing reaches inside one entry too: in a complete history entry
+// ⟨w.tsval, w⟩, and in the pw and w of a PWReq, WReq or ReadAck, an
+// equal pair is held once — PW.Val may be W.TSVal.Val's buffer (the
+// decoder, wire.Clone and HistEntry.Clone join them). An edit through
+// one would change the other, which is why neither is ever edited.
 package types
 
 import (
@@ -212,20 +218,33 @@ func (w WTuple) String() string {
 
 // HistEntry is one per-timestamp slot of a regular object's history:
 // the pw pair for that timestamp, and the full tuple once known (nil
-// until the W message, or forever for a skipped write).
+// until the W message, or forever for a skipped write). A complete
+// entry is ⟨w.tsval, w⟩: its PW.Val may share storage with
+// W.TSVal.Val, which is one more reason neither is ever edited.
 type HistEntry struct {
 	PW TSVal
 	W  *WTuple
 }
 
-// Clone returns a deep copy of e.
+// Clone returns a deep copy of e that shares nothing with e; an equal
+// PW and W.TSVal share one copy (see ClonePWAndW).
 func (e HistEntry) Clone() HistEntry {
-	out := HistEntry{PW: e.PW.Clone()}
-	if e.W != nil {
-		w := e.W.Clone()
-		out.W = &w
+	if e.W == nil {
+		return HistEntry{PW: e.PW.Clone()}
 	}
-	return out
+	pw, w := ClonePWAndW(e.PW, *e.W)
+	return HistEntry{PW: pw, W: &w}
+}
+
+// ClonePWAndW deep-copies a pre-write pair pw and the tuple w beside
+// it. When pw equals w's pair (TSVal.Equal), the copy of pw is the copy
+// of w's pair, so the value is copied and held once.
+func ClonePWAndW(pw TSVal, w WTuple) (TSVal, WTuple) {
+	if pw.Equal(w.TSVal) {
+		w = w.Clone()
+		return w.TSVal, w
+	}
+	return pw.Clone(), w.Clone()
 }
 
 // Equal reports deep equality of history entries.

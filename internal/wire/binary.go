@@ -24,6 +24,12 @@ package wire
 //   - Decoding walks a cursor over the input and hands nested payloads
 //     to the recursive decoder as sub-slice views, copying only the
 //     leaf byte fields the decoded message must own.
+//   - Each value is shipped and decoded once. Wherever a pre-write pair
+//     pw stands beside a complete tuple w (history entries, PWReq, WReq,
+//     ReadAck), a kind byte says whether pw stands alone, differs from
+//     w's pair, or is w's pair; in the last case — every honest
+//     complete entry and W request — pw is not shipped, and the decoded
+//     pw and w share one value buffer (see entryPW).
 //   - Encoders come from a sync.Pool with their scratch buffers
 //     (AppendCompact swaps the caller's buffer in); buffers are
 //     length-reset on reuse and never leak bytes between messages
@@ -244,13 +250,37 @@ func (e *enc) history(h types.History) {
 	for _, ts := range tss {
 		entry := h[ts]
 		e.i(int64(ts))
-		e.tsval(entry.PW)
-		if entry.W == nil {
-			e.byte(0)
-		} else {
-			e.byte(1)
-			e.wtuple(*entry.W)
-		}
+		e.entry(entry.PW, entry.W)
+	}
+}
+
+// Entry kinds: the byte before a pre-write pair pw and the complete
+// tuple w that may stand beside it — in a history entry, PWReq, WReq
+// and ReadAck. An honest complete entry is ⟨w.tsval, w⟩ (Fig. 5), so
+// its pair goes on the wire once, inside w. The encoder never writes
+// entryPWAndW for equal pairs, but the decoder accepts it (the message
+// is the same; it just costs the bytes), and rejects any other byte.
+const (
+	entryPW     byte = iota // pw alone: a history entry without its tuple
+	entryPWAndW             // pw, then w, whose pair differs from pw
+	entryW                  // w alone, whose pair is pw
+)
+
+// entry writes pw and the tuple w beside it (nil: none) under their
+// kind. Equal pairs (TSVal.Equal: the same TS and the same bytes, ⊥
+// apart from empty) always take entryW.
+func (e *enc) entry(pw types.TSVal, w *types.WTuple) {
+	switch {
+	case w == nil:
+		e.byte(entryPW)
+		e.tsval(pw)
+	case pw.Equal(w.TSVal):
+		e.byte(entryW)
+		e.wtuple(*w)
+	default:
+		e.byte(entryPWAndW)
+		e.tsval(pw)
+		e.wtuple(*w)
 	}
 }
 
@@ -259,8 +289,7 @@ func (e *enc) history(h types.History) {
 func (v PWReq) encode(e *enc) {
 	e.byte(tagPWReq)
 	e.i(int64(v.TS))
-	e.tsval(v.PW)
-	e.wtuple(v.W)
+	e.entry(v.PW, &v.W)
 }
 
 func (v PWAck) encode(e *enc) {
@@ -273,8 +302,7 @@ func (v PWAck) encode(e *enc) {
 func (v WReq) encode(e *enc) {
 	e.byte(tagWReq)
 	e.i(int64(v.TS))
-	e.tsval(v.PW)
-	e.wtuple(v.W)
+	e.entry(v.PW, &v.W)
 }
 
 func (v WAck) encode(e *enc) {
@@ -302,8 +330,7 @@ func (v ReadAck) encode(e *enc) {
 	e.i(int64(v.ObjectID))
 	e.i(int64(v.Round))
 	e.i(int64(v.TSR))
-	e.tsval(v.PW)
-	e.wtuple(v.W)
+	e.entry(v.PW, &v.W)
 }
 
 func (v ReadAckHist) encode(e *enc) {
@@ -629,14 +656,46 @@ func (d *dec) history() types.History {
 	h := make(types.History) // grows on demand; n is attacker-controlled
 	for i := 0; i < n && d.err == nil; i++ {
 		ts := types.TS(d.i())
-		entry := types.HistEntry{PW: d.tsval()}
-		if d.byte() == 1 {
-			w := d.wtuple()
+		pw, w, hasW := d.entry()
+		entry := types.HistEntry{PW: pw}
+		if hasW {
+			w := w // only complete entries take a heap tuple
 			entry.W = &w
 		}
 		h[ts] = entry
 	}
 	return h
+}
+
+// entry reads a kind byte and the pair and tuple it announces. An
+// entryW pair is the tuple's own, so the two share one value buffer:
+// values are never edited once built (see package types), which makes
+// the sharing safe.
+func (d *dec) entry() (pw types.TSVal, w types.WTuple, hasW bool) {
+	switch kind := d.byte(); kind {
+	case entryPW:
+		return d.tsval(), w, false
+	case entryPWAndW:
+		return d.tsval(), d.wtuple(), true
+	case entryW:
+		w = d.wtuple()
+		return w.TSVal, w, true
+	default:
+		if d.err == nil {
+			d.err = fmt.Errorf("wire: unknown entry kind %d", kind)
+		}
+		return pw, w, false
+	}
+}
+
+// complete reads the pair and tuple of a message that always carries
+// both (PWReq, WReq, ReadAck): entryPW is an error there.
+func (d *dec) complete() (types.TSVal, types.WTuple) {
+	pw, w, hasW := d.entry()
+	if !hasW && d.err == nil {
+		d.err = errors.New("wire: pre-write pair without its tuple")
+	}
+	return pw, w
 }
 
 // maxNest caps nesting during decode. The deepest legitimate frame is
@@ -664,11 +723,15 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 	var m Msg
 	switch data[0] {
 	case tagPWReq:
-		m = PWReq{TS: types.TS(d.i()), PW: d.tsval(), W: d.wtuple()}
+		pr := PWReq{TS: types.TS(d.i())}
+		pr.PW, pr.W = d.complete()
+		m = pr
 	case tagPWAck:
 		m = PWAck{ObjectID: types.ObjectID(d.i()), TS: types.TS(d.i()), TSR: d.tsrVector()}
 	case tagWReq:
-		m = WReq{TS: types.TS(d.i()), PW: d.tsval(), W: d.wtuple()}
+		wr := WReq{TS: types.TS(d.i())}
+		wr.PW, wr.W = d.complete()
+		m = wr
 	case tagWAck:
 		m = WAck{ObjectID: types.ObjectID(d.i()), TS: types.TS(d.i())}
 	case tagReadReq:
@@ -679,7 +742,9 @@ func decodeCompact(data []byte, depth int) (Msg, error) {
 		}
 		m = rr
 	case tagReadAck:
-		m = ReadAck{ObjectID: types.ObjectID(d.i()), Round: Round(d.i()), TSR: types.ReaderTS(d.i()), PW: d.tsval(), W: d.wtuple()}
+		ra := ReadAck{ObjectID: types.ObjectID(d.i()), Round: Round(d.i()), TSR: types.ReaderTS(d.i())}
+		ra.PW, ra.W = d.complete()
+		m = ra
 	case tagReadAckHist:
 		m = ReadAckHist{ObjectID: types.ObjectID(d.i()), Round: Round(d.i()), TSR: types.ReaderTS(d.i()), History: d.history()}
 	case tagBaselineWriteReq:

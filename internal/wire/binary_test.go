@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -198,6 +199,9 @@ func TestCompactRejectsGarbage(t *testing.T) {
 		{tagReadAckHist, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f}, // absurd length
 		{tagBatch, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // batch count 2^63: must error, not panic
 		{tagBatch, 0x04, 0x01, byte(tagWAck)},                                  // count beyond frame
+		{tagWReq, 0x0e, entryW + 1, 0x0e, 0x00, 0x00},                          // unknown entry kind
+		{tagReadAckHist, 0x00, 0x02, 0x00, 0x01, 0x00, 0xff, 0x00, 0x00, 0x00}, // unknown history entry kind
+		{tagWReq, 0x0e, entryPW, 0x0e, 0x00},                                   // W request without its tuple
 	}
 	for i, data := range cases {
 		if _, err := DecodeCompact(data); err == nil {
@@ -364,10 +368,19 @@ func BenchmarkCodec(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	small := ReadReq{Round: Round2, Reader: 1, TSR: 12345, CacheTS: 678}
 	big := randomHistMsg(rng)
+	// A 1 KiB write's W request, and a reply carrying two complete
+	// 1 KiB entries: each ships its value once.
+	pair := types.TSVal{TS: 9, Val: bytes.Repeat([]byte{'w'}, 1024)}
+	wreq := WReq{TS: 9, PW: pair, W: types.WTuple{TSVal: pair, TSR: types.TSRMatrix{0: {1, 2}, 1: {1, 2}, 2: {1, 3}}}}
 	for _, tc := range []struct {
 		name string
 		msg  Msg
-	}{{"small/ReadReq", small}, {"large/ReadAckHist", big}} {
+	}{
+		{"small/ReadReq", small},
+		{"large/ReadAckHist", big},
+		{"1KiB/WReq", wreq},
+		{"1KiB/TwoEntryReadAckHist", completeHist(false)},
+	} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

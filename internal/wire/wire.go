@@ -390,13 +390,14 @@ func Clone(m Msg) Msg {
 }
 
 // The message clones: plain fields copy with the receiver; each slice,
-// map and pointer field is replaced by a deep copy.
+// map and pointer field is replaced by a deep copy. A pw equal to the
+// pair of the tuple beside it shares that tuple's copy, as on decode.
 
-func (v PWReq) clone() Msg            { v.PW, v.W = v.PW.Clone(), v.W.Clone(); return v }
+func (v PWReq) clone() Msg            { v.PW, v.W = types.ClonePWAndW(v.PW, v.W); return v }
 func (v PWAck) clone() Msg            { v.TSR = v.TSR.Clone(); return v }
-func (v WReq) clone() Msg             { v.PW, v.W = v.PW.Clone(), v.W.Clone(); return v }
+func (v WReq) clone() Msg             { v.PW, v.W = types.ClonePWAndW(v.PW, v.W); return v }
 func (v WAck) clone() Msg             { return v }
-func (v ReadAck) clone() Msg          { v.PW, v.W = v.PW.Clone(), v.W.Clone(); return v }
+func (v ReadAck) clone() Msg          { v.PW, v.W = types.ClonePWAndW(v.PW, v.W); return v }
 func (v ReadAckHist) clone() Msg      { v.History = v.History.Clone(); return v }
 func (v BaselineWriteReq) clone() Msg { v.Val, v.Sig = v.Val.Clone(), slices.Clone(v.Sig); return v }
 func (v BaselineWriteAck) clone() Msg { return v }

@@ -16,10 +16,15 @@ func sampleMsgs() []Msg {
 		TSVal: types.TSVal{TS: 7, Val: types.Value("v7")},
 		TSR:   types.TSRMatrix{0: types.TSRVector{1, 2}, 3: types.TSRVector{0, 5}},
 	}
+	// One history entry of each kind: entryPW at 8, entryW at 0 and 7,
+	// entryPWAndW at 6 (a forged tuple whose pair is not the slot's).
+	forged := types.WTuple{TSVal: types.TSVal{TS: 6, Val: types.Value("v5")}, TSR: w.TSR}
 	h := types.NewHistory()
+	h[6] = types.HistEntry{PW: types.TSVal{TS: 6, Val: types.Value("v6")}, W: &forged}
 	h[7] = types.HistEntry{PW: w.TSVal.Clone(), W: &w}
+	h[8] = types.HistEntry{PW: types.TSVal{TS: 8, Val: types.Value("v8")}}
 	return []Msg{
-		PWReq{TS: 7, PW: w.TSVal, W: w},
+		PWReq{TS: 8, PW: h[8].PW, W: w},
 		PWAck{ObjectID: 2, TS: 7, TSR: types.TSRVector{3, 4}},
 		WReq{TS: 7, PW: w.TSVal, W: w},
 		WAck{ObjectID: 1, TS: 7},
